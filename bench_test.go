@@ -212,18 +212,24 @@ func BenchmarkMonitorLocal(b *testing.B) {
 	})
 }
 
-// BenchmarkDiffFlush measures updateMainMemory with a dirty remote page.
+// BenchmarkDiffFlush times one updateMainMemory of a remote page dirtied
+// by 64 scattered puts (sort, encode, ship, apply — what the benchmark's
+// core.flush_us_per_page measures). The puts themselves are outside the
+// timed region: BenchmarkWriteLogRecord* in internal/core cover them.
 func BenchmarkDiffFlush(b *testing.B) {
 	sys := newBenchSystem(b, "java_ic", 2)
 	sys.Main(func(t *hyperion.Thread) {
 		w := sys.SpawnOn(t, 1, func(t *hyperion.Thread) {
-			arr := sys.NewF64Array(t, 0, 512) // homed remotely
+			arr := sys.NewF64ArrayAligned(t, 0, 512) // one page, homed remotely
+			eng, ctx := sys.Heap().Engine(), t.Ctx()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				arr.Set(t, i%512, float64(i))
-				if i%64 == 63 {
-					sys.Heap().Engine().UpdateMainMemory(t.Ctx())
+				b.StopTimer()
+				for k := 0; k < 64; k++ {
+					arr.Set(t, (k*37+i)&511, float64(i))
 				}
+				b.StartTimer()
+				eng.UpdateMainMemory(ctx)
 			}
 		})
 		sys.Join(t, w)

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"sort"
@@ -49,9 +50,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchResult is one benchmark's tracked metrics. Zero means the metric
-// was absent (e.g. -benchmem not passed), not a measured zero: real
-// runs never hit exactly 0 ns/op.
+// benchResult is one benchmark's tracked metrics. A zero ns/op means the
+// metric was absent (real runs never hit exactly 0 ns/op); zero memory
+// metrics mean absent unless the run as a whole tracked memory, see
+// tracksMemory.
 type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -267,6 +269,17 @@ func runCommand(command string, stderr io.Writer) (string, error) {
 	return string(out), err
 }
 
+// tracksMemory reports whether any result carries a memory metric, i.e.
+// whether the numbers come from a -benchmem run.
+func tracksMemory(results map[string]benchResult) bool {
+	for _, r := range results {
+		if r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // metricDelta is one metric's comparison on one benchmark.
 type metricDelta struct {
 	bench, metric      string
@@ -302,6 +315,8 @@ func diff(baseline, candidate map[string]benchResult, thresholds map[string]floa
 	sort.Strings(missing)
 	sort.Strings(extra)
 
+	// Both sides ran with -benchmem if each reports some allocation.
+	memTracked := tracksMemory(baseline) && tracksMemory(candidate)
 	for _, name := range names {
 		b, c := baseline[name], candidate[name]
 		compared++
@@ -313,10 +328,21 @@ func diff(baseline, candidate map[string]benchResult, thresholds map[string]floa
 			{"bytes/op", b.BytesPerOp, c.BytesPerOp},
 			{"allocs/op", b.AllocsPerOp, c.AllocsPerOp},
 		} {
-			if m.old == 0 || (m.new == 0 && m.metric != "allocs/op") {
-				continue // metric untracked on one side
+			if m.new == 0 && m.metric != "allocs/op" {
+				continue // metric untracked by the candidate
 			}
-			frac := (m.new - m.old) / m.old
+			var frac float64
+			switch {
+			case m.old != 0:
+				frac = (m.new - m.old) / m.old
+			case m.metric == "ns/op" || !memTracked || m.new == 0:
+				continue // untracked, or a measured zero that stayed zero
+			default:
+				// A zero baseline is a measured zero for the memory metrics
+				// of a -benchmem run; any allocation at all is a regression
+				// (the allocation-free paths are the ones most worth gating).
+				frac = math.Inf(1)
+			}
 			d := metricDelta{bench: name, metric: m.metric, old: m.old, new: m.new, fraction: frac}
 			if frac > thresholds[m.metric] {
 				d.breach = true

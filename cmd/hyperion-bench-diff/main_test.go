@@ -12,6 +12,7 @@ import (
 var (
 	benchEngine   = filepath.Join("..", "..", "BENCH_engine.json")
 	benchWritelog = filepath.Join("..", "..", "BENCH_writelog.json")
+	benchLayers   = filepath.Join("..", "..", "BENCH_layers.json")
 )
 
 func runTool(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -25,7 +26,7 @@ func runTool(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // the committed file gated against itself must exit 0 — every delta is
 // exactly zero, and the schema round-trips.
 func TestSelfComparePassesClean(t *testing.T) {
-	for _, path := range []string{benchEngine, benchWritelog} {
+	for _, path := range []string{benchEngine, benchWritelog, benchLayers} {
 		code, stdout, stderr := runTool(t, "-baseline", path, "-candidate", path)
 		if code != 0 {
 			t.Errorf("%s vs itself: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", path, code, stdout, stderr)
@@ -77,6 +78,36 @@ func TestThresholdIsConfigurable(t *testing.T) {
 		"-max-ns-regress", "1.0")
 	if code != 0 {
 		t.Fatalf("exit %d with -max-ns-regress 1.0, want 0\n%s", code, stdout)
+	}
+}
+
+// TestZeroAllocBaselineIsGated: BENCH_layers.json records measured
+// zeros for the allocation-free paths (GetLocal, MonitorLocal). A
+// candidate that starts allocating there must fail however small the
+// allocation, while a candidate run without -benchmem gates nothing.
+func TestZeroAllocBaselineIsGated(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	leaky := write("leaky.txt", `
+BenchmarkMonitorLocal    7000000    160 ns/op    8 B/op    1 allocs/op
+BenchmarkBarrier          800000   1360 ns/op  144 B/op    2 allocs/op
+`)
+	code, stdout, _ := runTool(t, "-baseline", benchLayers, "-input", leaky)
+	if code != 1 || !strings.Contains(stdout, "!! BenchmarkMonitorLocal  allocs/op") {
+		t.Errorf("0 -> 1 allocs/op: exit %d, want 1 with the breach named\n%s", code, stdout)
+	}
+	if strings.Contains(stdout, "!! BenchmarkBarrier") {
+		t.Errorf("unchanged benchmark reported:\n%s", stdout)
+	}
+	nomem := write("nomem.txt", "BenchmarkMonitorLocal    7000000    160 ns/op\n")
+	if code, stdout, _ := runTool(t, "-baseline", benchLayers, "-input", nomem); code != 0 {
+		t.Errorf("candidate without -benchmem: exit %d, want 0\n%s", code, stdout)
 	}
 }
 

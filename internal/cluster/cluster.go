@@ -29,7 +29,8 @@ type ServiceID uint8
 // service id, source node, and length, as a fixed-size header.
 const MsgHeaderBytes = 16
 
-// Call carries the context of one handler invocation.
+// Call carries the context of one handler invocation. It is valid, its
+// Clock included, only until the handler returns.
 type Call struct {
 	// Node is the node the handler runs on.
 	Node *Node
@@ -38,13 +39,16 @@ type Call struct {
 	Clock *vtime.Clock
 	// From is the invoking node's id.
 	From int
-	// Arg is the request payload (owned by the handler; the caller does
-	// not mutate it after the call).
+	// Arg is the request payload, lent to the handler for the duration
+	// of the call: the caller may reuse the buffer once the call returns,
+	// so a handler that keeps any of it must copy.
 	Arg []byte
 }
 
 // HandlerFunc services one RPC invocation and returns the reply payload
-// (nil for an empty reply).
+// (nil for an empty reply). Ownership of the reply passes to the invoker:
+// the handler must neither keep a reference to it nor alias it to state
+// it goes on using.
 type HandlerFunc func(*Call) []byte
 
 // Node is one machine of the simulated cluster.
@@ -163,16 +167,9 @@ func (c *Cluster) lookup(id ServiceID) HandlerFunc {
 // caller's clock is advanced across the full round trip: request
 // transmission, remote handling, and reply delivery.
 func (c *Cluster) Invoke(clock *vtime.Clock, from, to int, svc ServiceID, arg []byte) []byte {
-	h := c.lookup(svc)
-	senderFree, delivered := c.net.Send(from, to, len(arg)+MsgHeaderBytes, clock.Now())
-	clock.AdvanceTo(senderFree)
-
-	hclock := vtime.NewClock(delivered)
-	reply := h(&Call{Node: c.Node(to), Clock: hclock, From: from, Arg: arg})
-
-	_, replyDelivered := c.net.Send(to, from, len(reply)+MsgHeaderBytes, hclock.Now())
+	reply, handled := c.deliver(clock, from, to, svc, arg)
+	_, replyDelivered := c.net.Send(to, from, len(reply)+MsgHeaderBytes, handled)
 	clock.AdvanceTo(replyDelivered)
-	c.counters.AddRPCs(1)
 	return reply
 }
 
@@ -182,12 +179,26 @@ func (c *Cluster) Invoke(clock *vtime.Clock, from, to int, svc ServiceID, arg []
 // later need to synchronize with the effect (e.g. a flush followed by a
 // lock release).
 func (c *Cluster) Notify(clock *vtime.Clock, from, to int, svc ServiceID, arg []byte) vtime.Time {
+	_, handled := c.deliver(clock, from, to, svc, arg)
+	return handled
+}
+
+// deliver sends the request, advances the caller's clock until its NIC is
+// free, and runs the handler with a clock seated at the delivery time. It
+// returns the reply and the handler's completion time. The Call and its
+// clock are one allocation that lives for the handler's invocation only.
+func (c *Cluster) deliver(clock *vtime.Clock, from, to int, svc ServiceID, arg []byte) ([]byte, vtime.Time) {
 	h := c.lookup(svc)
 	senderFree, delivered := c.net.Send(from, to, len(arg)+MsgHeaderBytes, clock.Now())
 	clock.AdvanceTo(senderFree)
 
-	hclock := vtime.NewClock(delivered)
-	h(&Call{Node: c.Node(to), Clock: hclock, From: from, Arg: arg})
+	in := &struct {
+		Call
+		clock vtime.Clock
+	}{}
+	in.clock.AdvanceTo(delivered)
+	in.Call = Call{Node: c.Node(to), Clock: &in.clock, From: from, Arg: arg}
+	reply := h(&in.Call)
 	c.counters.AddRPCs(1)
-	return hclock.Now()
+	return reply, in.clock.Now()
 }

@@ -42,6 +42,15 @@ type Ctx struct {
 	accesses int64
 
 	scratch [8]byte
+
+	// req is the fetch request buffer. It is separate from scratch
+	// because a put's value sits in scratch while the access that
+	// precedes the store may miss and fetch.
+	req [8]byte
+
+	// diffs is the list of per-home messages of the flush in progress,
+	// kept to reuse its storage at the next release.
+	diffs []diffMsg
 }
 
 type fastEntry struct {
@@ -253,7 +262,6 @@ func (c *Ctx) PutBytes(a pages.Addr, src []byte) {
 // plus memTouches cache-missing memory references. This is how the
 // benchmark kernels account for the work between shared-memory accesses.
 func (c *Ctx) Compute(cycles float64, memTouches int) {
-	m := c.eng.Machine()
-	d := m.Cycles(cycles) + vtime.Duration(memTouches)*m.MemLatency
-	c.clock.Advance(d)
+	m := &c.eng.mach
+	c.clock.Advance(m.Cycles(cycles) + vtime.Duration(memTouches)*m.MemLatency)
 }

@@ -23,7 +23,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +57,7 @@ type Engine struct {
 	cl    *cluster.Cluster
 	space *pages.Space
 	alloc *pages.Allocator
+	mach  model.Machine
 	costs model.DSMCosts
 	proto Protocol
 	nodes []*nodeMem
@@ -79,9 +79,13 @@ type Engine struct {
 	// single nil check when disabled, same bargain as tracer.
 	prof *pagestats.Profiler
 
-	// Precomputed durations (hot path).
-	checkCost  vtime.Duration
-	lookupCost vtime.Duration
+	// Precomputed at NewEngine so the fault, flush and RPC-service paths
+	// neither copy the cluster model nor redo the same arithmetic per
+	// message. cycle stays a float64 factor (not folded into the per-byte
+	// costs) so the per-byte charges round exactly as they always have.
+	serviceCost vtime.Duration // ServiceCycles
+	batchSetup  vtime.Duration // BatchSetupCycles
+	cycle       float64        // one CPU cycle, in vtime units
 }
 
 // SetTracer attaches an event recorder. Call before spawning threads.
@@ -123,6 +127,7 @@ func NewEngine(cl *cluster.Cluster, costs model.DSMCosts, proto Protocol) *Engin
 	e := &Engine{
 		cl:       cl,
 		space:    pages.NewSpace(cl.Size(), cfg.PageSize),
+		mach:     cfg.Machine,
 		costs:    costs,
 		proto:    proto,
 		nodes:    make([]*nodeMem, cl.Size()),
@@ -130,11 +135,13 @@ func NewEngine(cl *cluster.Cluster, costs model.DSMCosts, proto Protocol) *Engin
 		runStats: make([]NodeStats, cl.Size()),
 	}
 	e.alloc = pages.NewAllocator(e.space)
+	homeOf := e.space.Home
 	for i := range e.nodes {
-		e.nodes[i] = &nodeMem{home: pages.NewTable(), cache: pages.NewTable(), log: &WriteLog{}}
+		e.nodes[i] = &nodeMem{home: pages.NewTable(), cache: pages.NewTable(), log: NewWriteLog(homeOf)}
 	}
-	e.checkCost = cfg.Machine.Cycles(cfg.Machine.CheckCycles)
-	e.lookupCost = cfg.Machine.Cycles(costs.CacheLookupCycles)
+	e.serviceCost = e.mach.Cycles(costs.ServiceCycles)
+	e.batchSetup = e.mach.Cycles(costs.BatchSetupCycles)
+	e.cycle = float64(e.mach.Cycle())
 
 	cl.Register(svcFetchPage, "dsm.fetchPage", e.handleFetchPage)
 	cl.Register(svcApplyDiff, "dsm.applyDiff", e.handleApplyDiff)
@@ -156,7 +163,7 @@ func (e *Engine) Protocol() Protocol { return e.proto }
 func (e *Engine) Costs() model.DSMCosts { return e.costs }
 
 // Machine returns the per-node machine model.
-func (e *Engine) Machine() model.Machine { return e.cl.Config().Machine }
+func (e *Engine) Machine() model.Machine { return e.mach }
 
 // Alloc reserves size bytes of shared memory homed at the given node with
 // the given alignment and installs zeroed reference frames for every page
@@ -168,7 +175,7 @@ func (e *Engine) Alloc(ctx *Ctx, homeNode, size, align int) (pages.Addr, error) 
 		return 0, err
 	}
 	e.installHomeFrames(homeNode, addr, size)
-	ctx.clock.Advance(e.Machine().Cycles(60)) // allocator bookkeeping
+	ctx.clock.Advance(e.mach.Cycles(60)) // allocator bookkeeping
 	return addr, nil
 }
 
@@ -206,14 +213,35 @@ func (e *Engine) homeFrame(p pages.PageID) *pages.Frame {
 // given access mode. The whole page travels, which gives the pre-fetching
 // effect for other objects on the same page noted in §3.1.
 func (e *Engine) LoadIntoCache(ctx *Ctx, p pages.PageID, access pages.Access) *pages.Frame {
-	home := e.space.Home(p)
-	req := make([]byte, 8)
-	binary.LittleEndian.PutUint64(req, uint64(p))
-	img := e.cl.Invoke(ctx.clock, ctx.node, home, svcFetchPage, req)
-	f := pages.NewFrame(p, e.space.PageSize(), access)
-	f.Load(img)
 	nm := e.nodes[ctx.node]
-	nm.cache.Install(f)
+	f := e.fetch(ctx, nm, p, nil, access)
+	if cap := e.costs.CacheCapacityPages; cap > 0 {
+		e.recordAndMaybeEvict(ctx, nm, p, cap)
+	}
+	return f
+}
+
+// fetch moves page p's home image into ctx's node cache, copying it
+// exactly once: the home's reply is a private copy (see handleFetchPage)
+// that is adopted as the cached frame's backing store — of f when the
+// page's frame must keep its identity (RefreshCache), of a new installed
+// frame when f is nil. The request is built in a buffer ctx owns.
+//
+// Every miss therefore still allocates one page image. Recycling the
+// images of dropped frames is tempting and wrong for now: with more than
+// one thread per node, a thread may still be reading a *pages.Frame that
+// another thread's monitor entry has just dropped, and only the garbage
+// collector keeps that read on the right (if stale) page. A pool needs
+// ROADMAP item 1's scheduler first.
+func (e *Engine) fetch(ctx *Ctx, nm *nodeMem, p pages.PageID, f *pages.Frame, access pages.Access) *pages.Frame {
+	binary.LittleEndian.PutUint64(ctx.req[:], uint64(p))
+	img := e.cl.Invoke(ctx.clock, ctx.node, e.space.Home(p), svcFetchPage, ctx.req[:])
+	if f == nil {
+		f = pages.NewFrameFromImage(p, img, access)
+		nm.cache.Install(f)
+	} else {
+		f.Adopt(img, access)
+	}
 	e.cnt.AddPageFetches(1)
 	atomic.AddInt64(&e.runStats[ctx.node].Fetches, 1)
 	if e.tracer != nil {
@@ -221,9 +249,6 @@ func (e *Engine) LoadIntoCache(ctx *Ctx, p pages.PageID, access pages.Access) *p
 	}
 	if e.prof != nil {
 		e.prof.NoteFetch(ctx.node, p)
-	}
-	if cap := e.costs.CacheCapacityPages; cap > 0 {
-		e.recordAndMaybeEvict(ctx, nm, p, cap)
 	}
 	return f
 }
@@ -320,44 +345,33 @@ func (e *Engine) FlushBatched(ctx *Ctx) {
 
 // flushHomes drains the node's write log and ships one aggregated
 // svcApplyDiff message per home node, in ascending home order so runs
-// are deterministic.
+// are deterministic. In the steady state it allocates the messages and
+// nothing else: the list of them lives in ctx.
 func (e *Engine) flushHomes(ctx *Ctx, batched bool) {
-	groups := e.nodes[ctx.node].log.Take(e.space.Home)
-	if len(groups) == 0 {
-		return
-	}
+	var note func(pages.PageID, int, int)
 	if prof := e.prof; prof != nil {
-		// Every flushed span attributes its modified byte range to this
+		// Every flushed record attributes its modified byte range to this
 		// node — the raw material of the false-sharing detector.
-		for _, spans := range groups {
-			for _, s := range spans {
-				prof.NoteWrite(ctx.node, s.page, s.off, len(s.data))
-			}
-		}
+		node := ctx.node
+		note = func(p pages.PageID, off, n int) { prof.NoteWrite(node, p, off, n) }
 	}
-	homes := make([]int, 0, len(groups))
-	for h := range groups {
-		homes = append(homes, h)
+	ctx.diffs = e.nodes[ctx.node].log.TakeDiffs(ctx.diffs[:0], note)
+	perByte := e.costs.DiffPerByteCycles
+	if batched {
+		perByte = e.costs.BatchPerByteCycles
 	}
-	sort.Ints(homes)
-	mach := e.Machine()
-	for _, home := range homes {
-		msg := encodeDiff(groups[home])
+	ns := &e.runStats[ctx.node]
+	for _, d := range ctx.diffs {
 		if batched {
-			ctx.clock.Advance(mach.Cycles(e.costs.BatchSetupCycles))
-			ctx.clock.Advance(vtime.Duration(float64(len(msg)) * e.costs.BatchPerByteCycles * float64(mach.Cycle())))
-		} else {
-			ctx.clock.Advance(vtime.Duration(float64(len(msg)) * e.costs.DiffPerByteCycles * float64(mach.Cycle())))
-		}
-		e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFlush, int64(len(msg)), int64(home))
-		e.cl.Invoke(ctx.clock, ctx.node, home, svcApplyDiff, msg)
-		e.cnt.AddDiffMessage(int64(len(msg)))
-		ns := &e.runStats[ctx.node]
-		atomic.AddInt64(&ns.FlushMessages, 1)
-		atomic.AddInt64(&ns.FlushBytes, int64(len(msg)))
-		if batched {
+			ctx.clock.Advance(e.batchSetup)
 			atomic.AddInt64(&ns.BatchedFlushes, 1)
 		}
+		ctx.clock.Advance(vtime.Duration(float64(len(d.msg)) * perByte * e.cycle))
+		e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFlush, int64(len(d.msg)), int64(d.home))
+		e.cl.Invoke(ctx.clock, ctx.node, d.home, svcApplyDiff, d.msg)
+		e.cnt.AddDiffMessage(int64(len(d.msg)))
+		atomic.AddInt64(&ns.FlushMessages, 1)
+		atomic.AddInt64(&ns.FlushBytes, int64(len(d.msg)))
 	}
 }
 
@@ -383,25 +397,10 @@ func (e *Engine) FlushAndInvalidate(ctx *Ctx) {
 // copies are mapped READ/WRITE, so no faults follow.
 func (e *Engine) RefreshCache(ctx *Ctx) int {
 	nm := e.nodes[ctx.node]
-	var cached []pages.PageID
-	nm.cache.ForEach(func(f *pages.Frame) { cached = append(cached, f.Page()) })
-	for _, p := range cached {
-		home := e.space.Home(p)
-		req := make([]byte, 8)
-		binary.LittleEndian.PutUint64(req, uint64(p))
-		img := e.cl.Invoke(ctx.clock, ctx.node, home, svcFetchPage, req)
-		if f, _ := nm.cache.Lookup(p); f != nil {
-			f.Load(img)
-			f.SetAccess(pages.ReadWrite)
-		}
-		e.cnt.AddPageFetches(1)
-		atomic.AddInt64(&e.runStats[ctx.node].Fetches, 1)
-		if e.tracer != nil {
-			e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFetch, int64(p), int64(nm.cache.Len()))
-		}
-		if e.prof != nil {
-			e.prof.NoteFetch(ctx.node, p)
-		}
+	var cached []*pages.Frame
+	nm.cache.ForEach(func(f *pages.Frame) { cached = append(cached, f) })
+	for _, f := range cached {
+		e.fetch(ctx, nm, f.Page(), f, pages.ReadWrite)
 	}
 	return len(cached)
 }
@@ -416,22 +415,29 @@ func (e *Engine) Release(ctx *Ctx) {
 
 // --- RPC handlers (run at the page's home node) --------------------------
 
+// handleFetchPage replies with a copy of the home image taken under the
+// home frame's read lock. Ownership rule of the fetch path: the reply is
+// never aliased to the home frame and never retained here, because the
+// requester adopts it as its cached frame's backing store — writes at
+// home must not show in that copy, nor its writes at home.
 func (e *Engine) handleFetchPage(call *cluster.Call) []byte {
 	p := pages.PageID(binary.LittleEndian.Uint64(call.Arg))
-	call.Clock.Advance(e.Machine().Cycles(e.costs.ServiceCycles))
+	call.Clock.Advance(e.serviceCost)
 	return e.homeFrame(p).Snapshot()
 }
 
 func (e *Engine) handleApplyDiff(call *cluster.Call) []byte {
-	spans, err := decodeDiff(call.Arg)
+	call.Clock.Advance(e.serviceCost)
+	call.Clock.Advance(vtime.Duration(float64(len(call.Arg)) * e.costs.DiffPerByteCycles * e.cycle))
+	var f *pages.Frame // a page's records are contiguous: look its frame up once
+	err := walkDiff(call.Arg, func(p pages.PageID, off int, data []byte) {
+		if f == nil || f.Page() != p {
+			f = e.homeFrame(p)
+		}
+		f.Write(off, data)
+	})
 	if err != nil {
 		panic(err) // a malformed diff is a bug in the engine itself
-	}
-	mach := e.Machine()
-	call.Clock.Advance(mach.Cycles(e.costs.ServiceCycles))
-	call.Clock.Advance(vtime.Duration(float64(len(call.Arg)) * e.costs.DiffPerByteCycles * float64(mach.Cycle())))
-	for _, s := range spans {
-		e.homeFrame(s.page).Write(s.off, s.data)
 	}
 	e.traceEvent(call.Clock.Now(), call.Node.ID(), trace.ServiceTID, trace.EvApply, int64(len(call.Arg)), int64(call.From))
 	return nil
@@ -452,8 +458,7 @@ func (e *Engine) pageFaultAccess(ctx *Ctx, pg pages.PageID, isHome bool) *pages.
 		atomic.AddInt64(&e.runStats[ctx.node].CacheHits, 1)
 		return f
 	}
-	m := e.Machine()
-	ctx.clock.Advance(m.PageFault)
+	ctx.clock.Advance(e.mach.PageFault)
 	e.cnt.AddPageFaults(1)
 	atomic.AddInt64(&e.runStats[ctx.node].Faults, 1)
 	e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFault, int64(pg), 0)
@@ -461,10 +466,20 @@ func (e *Engine) pageFaultAccess(ctx *Ctx, pg pages.PageID, isHome bool) *pages.
 		e.prof.NoteFault(ctx.node, pg)
 	}
 	f := e.LoadIntoCache(ctx, pg, pages.ReadWrite)
-	ctx.clock.Advance(m.Mprotect)
-	e.cnt.AddMprotectCalls(1)
-	atomic.AddInt64(&e.runStats[ctx.node].MprotectCalls, 1)
+	e.chargeMprotect(ctx, 1)
 	return f
+}
+
+// chargeMprotect charges n mprotect calls to ctx: mapping a fetched page
+// READ/WRITE, or re-protecting the n pages an invalidation dropped — the
+// overhead §4.3 observes growing with the node count for Barnes.
+func (e *Engine) chargeMprotect(ctx *Ctx, n int) {
+	if n == 0 {
+		return
+	}
+	ctx.clock.Advance(vtime.Duration(n) * e.mach.Mprotect)
+	e.cnt.AddMprotectCalls(int64(n))
+	atomic.AddInt64(&e.runStats[ctx.node].MprotectCalls, int64(n))
 }
 
 // HomeSnapshot returns a copy of every reference (home) page image in

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/pages"
 	"repro/internal/vtime"
 )
@@ -79,15 +77,7 @@ func (p *JavaHLRC) OnVolatileWrite(ctx *Ctx) { p.eng.FlushBatched(ctx) }
 
 // OnInvalidate implements Protocol: like java_pf, re-protecting the n
 // dropped pages costs one mprotect call per page.
-func (p *JavaHLRC) OnInvalidate(ctx *Ctx, n int) {
-	if n == 0 {
-		return
-	}
-	m := p.eng.Machine()
-	ctx.clock.Advance(vtime.Duration(n) * m.Mprotect)
-	p.eng.cnt.AddMprotectCalls(int64(n))
-	atomic.AddInt64(&p.eng.runStats[ctx.node].MprotectCalls, int64(n))
-}
+func (p *JavaHLRC) OnInvalidate(ctx *Ctx, n int) { p.eng.chargeMprotect(ctx, n) }
 
 // OnCtxClose implements Protocol: no per-access bookkeeping.
 func (p *JavaHLRC) OnCtxClose(ctx *Ctx) {}

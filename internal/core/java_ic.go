@@ -30,7 +30,7 @@ func (p *JavaIC) Name() string { return "java_ic" }
 // Bind implements Protocol.
 func (p *JavaIC) Bind(e *Engine) {
 	p.eng = e
-	m := e.Machine()
+	m := e.mach
 	p.checkCost = m.Cycles(m.CheckCycles)
 	p.lookupCost = m.Cycles(e.costs.CacheLookupCycles)
 	p.invalEntry = m.Cycles(e.costs.InvalidateEntryCycles)

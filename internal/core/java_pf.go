@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/pages"
 	"repro/internal/vtime"
 )
@@ -51,15 +49,7 @@ func (p *JavaPF) Release(ctx *Ctx) { p.eng.UpdateMainMemory(ctx) }
 // OnInvalidate implements Protocol: re-protecting the n dropped pages on
 // monitor entry costs one mprotect call per page, exactly the overhead
 // §4.3 observes growing with the node count for Barnes.
-func (p *JavaPF) OnInvalidate(ctx *Ctx, n int) {
-	if n == 0 {
-		return
-	}
-	m := p.eng.Machine()
-	ctx.clock.Advance(vtime.Duration(n) * m.Mprotect)
-	p.eng.cnt.AddMprotectCalls(int64(n))
-	atomic.AddInt64(&p.eng.runStats[ctx.node].MprotectCalls, int64(n))
-}
+func (p *JavaPF) OnInvalidate(ctx *Ctx, n int) { p.eng.chargeMprotect(ctx, n) }
 
 // OnCtxClose implements Protocol: java_pf performs no per-access
 // bookkeeping.

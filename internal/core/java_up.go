@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/pages"
 	"repro/internal/vtime"
 )
@@ -52,15 +50,7 @@ func (p *JavaUP) Release(ctx *Ctx) { p.eng.UpdateMainMemory(ctx) }
 
 // OnInvalidate implements Protocol: only capacity evictions invalidate
 // under the update protocol; unmapping the victim costs one mprotect.
-func (p *JavaUP) OnInvalidate(ctx *Ctx, n int) {
-	if n == 0 {
-		return
-	}
-	m := p.eng.Machine()
-	ctx.clock.Advance(vtime.Duration(n) * m.Mprotect)
-	p.eng.cnt.AddMprotectCalls(int64(n))
-	atomic.AddInt64(&p.eng.runStats[ctx.node].MprotectCalls, int64(n))
-}
+func (p *JavaUP) OnInvalidate(ctx *Ctx, n int) { p.eng.chargeMprotect(ctx, n) }
 
 // OnCtxClose implements Protocol.
 func (p *JavaUP) OnCtxClose(ctx *Ctx) {}

@@ -176,7 +176,7 @@ func (e *Engine) NoteBarrierWait(node int, d vtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	cyc := int64(d) / int64(e.Machine().Cycle())
+	cyc := int64(d) / int64(e.mach.Cycle())
 	atomic.AddInt64(&e.runStats[node].BarrierWaitCycles, cyc)
 }
 

@@ -36,7 +36,7 @@ func (e *Engine) ReadVolatile64(ctx *Ctx, a pages.Addr) uint64 {
 	if home == ctx.node {
 		var buf [8]byte
 		e.homeFrame(p).Read(off, buf[:])
-		ctx.clock.Advance(e.Machine().Cycles(4))
+		ctx.clock.Advance(e.mach.Cycles(4))
 		return binary.LittleEndian.Uint64(buf[:])
 	}
 	req := make([]byte, 8)
@@ -65,7 +65,7 @@ func (e *Engine) WriteVolatile64(ctx *Ctx, a pages.Addr, v uint64) {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
 		e.homeFrame(p).Write(off, buf[:])
-		ctx.clock.Advance(e.Machine().Cycles(4))
+		ctx.clock.Advance(e.mach.Cycles(4))
 		return
 	}
 	req := make([]byte, 16)
@@ -77,7 +77,7 @@ func (e *Engine) WriteVolatile64(ctx *Ctx, a pages.Addr, v uint64) {
 func (e *Engine) handleReadWord(call *cluster.Call) []byte {
 	a := pages.Addr(binary.LittleEndian.Uint64(call.Arg))
 	p := e.space.PageOf(a)
-	call.Clock.Advance(e.Machine().Cycles(e.costs.ServiceCycles / 4))
+	call.Clock.Advance(e.mach.Cycles(e.costs.ServiceCycles / 4))
 	out := make([]byte, 8)
 	e.homeFrame(p).Read(e.space.Offset(a), out)
 	return out
@@ -86,7 +86,7 @@ func (e *Engine) handleReadWord(call *cluster.Call) []byte {
 func (e *Engine) handleWriteWord(call *cluster.Call) []byte {
 	a := pages.Addr(binary.LittleEndian.Uint64(call.Arg))
 	p := e.space.PageOf(a)
-	call.Clock.Advance(e.Machine().Cycles(e.costs.ServiceCycles / 4))
+	call.Clock.Advance(e.mach.Cycles(e.costs.ServiceCycles / 4))
 	e.homeFrame(p).Write(e.space.Offset(a), call.Arg[8:16])
 	return nil
 }

@@ -10,7 +10,8 @@ import (
 )
 
 func TestWriteLogRecordAndTake(t *testing.T) {
-	var w WriteLog
+	homeOf := func(p pages.PageID) int { return int(p) % 2 }
+	w := NewWriteLog(homeOf)
 	w.Record(1, 0, []byte{1, 2})
 	w.Record(1, 2, []byte{3, 4}) // extends the previous record
 	w.Record(2, 100, []byte{9})
@@ -18,27 +19,26 @@ func TestWriteLogRecordAndTake(t *testing.T) {
 	if rec != 2 || b != 5 {
 		t.Fatalf("pending = %d records / %d bytes, want 2/5", rec, b)
 	}
-	homeOf := func(p pages.PageID) int { return int(p) % 2 }
-	groups := w.Take(homeOf)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d", len(groups))
+	diffs := w.TakeDiffs(nil, nil)
+	if len(diffs) != 2 || diffs[0].home != 0 || diffs[1].home != 1 {
+		t.Fatalf("diffs = %+v, want one message for home 0 then one for home 1", diffs)
 	}
-	if got := groups[1][0].data; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("coalesced span = %v", got)
+	if got := decodeSpans(t, diffs[1].msg); len(got) != 1 || !bytes.Equal(got[0].data, []byte{1, 2, 3, 4}) {
+		t.Fatalf("coalesced spans = %v", got)
 	}
-	if got := groups[0][0]; got.page != 2 || got.off != 100 {
+	if got := decodeSpans(t, diffs[0].msg)[0]; got.page != 2 || got.off != 100 {
 		t.Fatalf("span = %+v", got)
 	}
 	if rec, _ := w.Pending(); rec != 0 {
-		t.Fatal("Take did not clear the log")
+		t.Fatal("TakeDiffs did not clear the log")
 	}
-	if w.Take(homeOf) != nil {
-		t.Fatal("empty Take should return nil")
+	if len(w.TakeDiffs(nil, nil)) != 0 {
+		t.Fatal("empty TakeDiffs should add nothing")
 	}
 }
 
 func TestWriteLogNoCoalesceAcrossGapsOrPages(t *testing.T) {
-	var w WriteLog
+	w := NewWriteLog(func(pages.PageID) int { return 0 })
 	w.Record(1, 0, []byte{1})
 	w.Record(1, 5, []byte{2}) // gap
 	w.Record(2, 6, []byte{3}) // other page
@@ -50,12 +50,11 @@ func TestWriteLogNoCoalesceAcrossGapsOrPages(t *testing.T) {
 }
 
 func TestWriteLogRecordCopiesData(t *testing.T) {
-	var w WriteLog
+	w := NewWriteLog(func(pages.PageID) int { return 0 })
 	buf := []byte{7, 7}
 	w.Record(3, 0, buf)
 	buf[0] = 0
-	groups := w.Take(func(pages.PageID) int { return 0 })
-	if groups[0][0].data[0] != 7 {
+	if decodeSpans(t, w.TakeDiffs(nil, nil)[0].msg)[0].data[0] != 7 {
 		t.Fatal("Record aliased caller's buffer")
 	}
 }
@@ -66,12 +65,8 @@ func TestDiffRoundTrip(t *testing.T) {
 		{page: 2, off: 0, data: []byte{9}},
 		{page: 5, off: 0, data: []byte{4, 5}},
 	}
-	msg := encodeDiff(in)
-	out, err := decodeDiff(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// encodeDiff sorts by (page, off).
+	out := decodeSpans(t, encodeSpans(t, in))
+	// The encoder sorts by (page, off).
 	want := []span{
 		{page: 2, off: 0, data: []byte{9}},
 		{page: 5, off: 0, data: []byte{4, 5}},
@@ -88,23 +83,28 @@ func TestDiffRoundTrip(t *testing.T) {
 }
 
 func TestDecodeDiffErrors(t *testing.T) {
-	if _, err := decodeDiff([]byte{1, 2}); err == nil {
+	ignore := func(pages.PageID, int, []byte) {}
+	if err := walkDiff([]byte{1, 2}, ignore); err == nil {
 		t.Error("short buffer accepted")
 	}
 	// Claim one record but supply no header.
-	if _, err := decodeDiff([]byte{1, 0, 0, 0}); err == nil {
+	if err := walkDiff([]byte{1, 0, 0, 0}, ignore); err == nil {
 		t.Error("missing header accepted")
 	}
 	// Valid header claiming more payload than present.
-	msg := encodeDiff([]span{{page: 1, off: 0, data: []byte{1, 2, 3, 4}}})
-	if _, err := decodeDiff(msg[:len(msg)-2]); err == nil {
+	msg := encodeSpans(t, []span{{page: 1, off: 0, data: []byte{1, 2, 3, 4}}})
+	if err := walkDiff(msg[:len(msg)-2], ignore); err == nil {
 		t.Error("truncated payload accepted")
+	}
+	// A count far beyond the message must fail, not allocate for it.
+	if err := walkDiff([]byte{0xff, 0xff, 0xff, 0xff}, ignore); err == nil {
+		t.Error("absurd record count accepted")
 	}
 }
 
 // applySpans replays spans in order onto per-page byte images, the way
 // handleApplyDiff writes them into home frames. Zero-length spans have
-// no effect (encodeDiff may drop them), so they don't size the images.
+// no effect (the encoder may drop them), so they don't size the images.
 func applySpans(spans []span) map[pages.PageID][]byte {
 	images := make(map[pages.PageID][]byte)
 	for _, s := range spans {
@@ -124,7 +124,7 @@ func applySpans(spans []span) map[pages.PageID][]byte {
 }
 
 // Property: encode/decode preserves the program-order effect of the
-// spans. Record identity is not preserved — encodeDiff coalesces
+// spans. Record identity is not preserved — the encoder coalesces
 // exactly-adjacent records and resolves overlaps — but replaying the
 // decoded spans must produce exactly the image that applying the
 // original spans in write order produces.
@@ -142,13 +142,8 @@ func TestDiffRoundTripProperty(t *testing.T) {
 			}
 			in = append(in, span{page: pages.PageID(r.Page), off: int(r.Off), data: d})
 		}
-		want := applySpans(in) // program order, before encodeDiff reorders in place
-		msg := encodeDiff(in)
-		out, err := decodeDiff(msg)
-		if err != nil {
-			return false
-		}
-		got := applySpans(out)
+		want := applySpans(in) // program order
+		got := applySpans(decodeSpans(t, encodeSpans(t, in)))
 		if len(want) != len(got) {
 			return false
 		}
@@ -167,7 +162,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 // Strided writes to one page become contiguous once sorted, so the
 // aggregated-diff path ships them as a single wire record.
 func TestEncodeDiffCoalescesAdjacentRecords(t *testing.T) {
-	var w WriteLog
+	w := NewWriteLog(func(pages.PageID) int { return 0 })
 	// Even offsets first, then odd: never put-time adjacent.
 	for off := 0; off < 64; off += 16 {
 		w.Record(1, off, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -175,15 +170,11 @@ func TestEncodeDiffCoalescesAdjacentRecords(t *testing.T) {
 	for off := 8; off < 64; off += 16 {
 		w.Record(1, off, []byte{9, 9, 9, 9, 9, 9, 9, 9})
 	}
-	groups := w.Take(func(pages.PageID) int { return 0 })
-	if got := len(groups[0]); got != 8 {
+	if got, _ := w.Pending(); got != 8 {
 		t.Fatalf("log records = %d, want 8", got)
 	}
-	msg := encodeDiff(groups[0])
-	out, err := decodeDiff(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := w.TakeDiffs(nil, nil)[0].msg
+	out := decodeSpans(t, msg)
 	if len(out) != 1 {
 		t.Fatalf("wire records = %d, want 1 coalesced record", len(out))
 	}
@@ -204,10 +195,7 @@ func TestEncodeDiffOverlapRespectsWriteOrder(t *testing.T) {
 		{page: 1, off: 2, data: []byte{0xaa, 0xaa, 0xaa, 0xaa}}, // first write: [2,6)
 		{page: 1, off: 0, data: []byte{0xbb, 0xbb, 0xbb, 0xbb}}, // later write: [0,4), wins on [2,4)
 	}
-	out, err := decodeDiff(encodeDiff(spans))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := decodeSpans(t, encodeSpans(t, spans))
 	img := applySpans(out)[1]
 	if !bytes.Equal(img, []byte{0xbb, 0xbb, 0xbb, 0xbb, 0xaa, 0xaa}) {
 		t.Fatalf("applied image = %#v, want later write to win its overlap", img)
@@ -227,10 +215,7 @@ func TestEncodeDiffSameOffsetLaterWriteWins(t *testing.T) {
 		{page: 3, off: 8, data: []byte{1, 2, 3, 4}},
 		{page: 3, off: 8, data: []byte{5, 6, 7, 8}},
 	}
-	out, err := decodeDiff(encodeDiff(spans))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := decodeSpans(t, encodeSpans(t, spans))
 	if len(out) != 1 {
 		t.Fatalf("wire records = %d, want 1", len(out))
 	}
@@ -239,16 +224,16 @@ func TestEncodeDiffSameOffsetLaterWriteWins(t *testing.T) {
 	}
 }
 
-// The epoch-based reset must make per-page buffers reusable: records of
-// a flushed epoch may not leak into the next, and spans taken in one
-// epoch must stay intact while the next epoch records new writes.
+// The epoch-based reset must make per-page buffers and the arena
+// reusable: records of a flushed epoch may not leak into the next, and
+// a message taken in one epoch must stay intact while the next epoch
+// records new writes over the rewound arena.
 func TestWriteLogEpochReset(t *testing.T) {
-	var w WriteLog
-	homeOf := func(pages.PageID) int { return 0 }
+	w := NewWriteLog(func(pages.PageID) int { return 0 })
 
 	w.Record(1, 0, []byte{1, 2})
 	w.Record(2, 8, []byte{3})
-	first := w.Take(homeOf)[0]
+	first := decodeSpans(t, w.TakeDiffs(nil, nil)[0].msg)
 
 	// New epoch: same pages, different data. The old spans must not
 	// change and the new epoch must not resurrect old records.
@@ -259,7 +244,7 @@ func TestWriteLogEpochReset(t *testing.T) {
 	if !bytes.Equal(first[0].data, []byte{1, 2}) || first[1].data[0] != 3 {
 		t.Fatalf("taken spans mutated by next epoch: %v", first)
 	}
-	second := w.Take(homeOf)[0]
+	second := decodeSpans(t, w.TakeDiffs(nil, nil)[0].msg)
 	if len(second) != 1 || second[0].page != 1 || second[0].off != 100 {
 		t.Fatalf("second epoch spans = %+v", second)
 	}
@@ -269,7 +254,7 @@ func TestEncodeDiffDeterministic(t *testing.T) {
 	in := func() []span {
 		return []span{{page: 9, off: 8, data: []byte{1}}, {page: 3, off: 0, data: []byte{2}}}
 	}
-	if !reflect.DeepEqual(encodeDiff(in()), encodeDiff(in())) {
+	if !reflect.DeepEqual(encodeSpans(t, in()), encodeSpans(t, in())) {
 		t.Fatal("encoding not deterministic")
 	}
 }

@@ -23,6 +23,14 @@ func NewFrame(p PageID, size int, access Access) *Frame {
 	return &Frame{page: p, data: make([]byte, size), access: access}
 }
 
+// NewFrameFromImage creates a frame for page p whose content is img,
+// adopted as the backing store without a copy. Ownership of img passes
+// to the frame: the caller must hold the only reference to it and must
+// not touch it afterwards (see Frame.Adopt).
+func NewFrameFromImage(p PageID, img []byte, access Access) *Frame {
+	return &Frame{page: p, data: img, access: access}
+}
+
 // Page reports the page this frame holds.
 func (f *Frame) Page() PageID { return f.page }
 
@@ -76,6 +84,21 @@ func (f *Frame) Load(img []byte) {
 		panic(fmt.Sprintf("pages: loading %d bytes into %d-byte frame", len(img), len(f.data)))
 	}
 	copy(f.data, img)
+}
+
+// Adopt replaces the whole frame content with img and sets the access
+// rights, keeping the frame's identity. Unlike Load it does not copy:
+// img becomes the backing store, so the caller must hold the only
+// reference to it and must not touch it afterwards. The previous
+// backing store is left to the garbage collector — a reader that copied
+// out of it before the swap saw a consistent, if stale, page.
+func (f *Frame) Adopt(img []byte, access Access) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(img) != len(f.data) {
+		panic(fmt.Sprintf("pages: adopting %d bytes into %d-byte frame", len(img), len(f.data)))
+	}
+	f.data, f.access = img, access
 }
 
 func (f *Frame) check(off, n int) {

@@ -225,12 +225,46 @@ func TestFrameSnapshotLoad(t *testing.T) {
 	}
 }
 
+// Adoption moves an image into a frame without copying it: the frame
+// reads and writes the very slice it was given (which is why the caller
+// must give up its reference), a later Snapshot is independent of it
+// again, and Adopt keeps the frame's identity while swapping its store.
+func TestFrameAdoptsImageWithoutCopy(t *testing.T) {
+	img := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	f := NewFrameFromImage(3, img, ReadWrite)
+	if f.Page() != 3 || f.Access() != ReadWrite {
+		t.Fatalf("adopted frame = page %d access %v", f.Page(), f.Access())
+	}
+	f.Write(0, []byte{42})
+	if img[0] != 42 {
+		t.Fatal("NewFrameFromImage copied the image")
+	}
+	snap := f.Snapshot()
+	f.Write(1, []byte{43})
+	if snap[1] != 2 {
+		t.Fatal("snapshot of an adopted frame aliases it")
+	}
+
+	next := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+	f.SetAccess(NoAccess)
+	f.Adopt(next, ReadWrite)
+	got := make([]byte, 1)
+	f.Read(0, got)
+	if got[0] != 9 || f.Access() != ReadWrite {
+		t.Fatalf("after Adopt read %d access %v", got[0], f.Access())
+	}
+	if img[0] != 42 || img[1] != 43 {
+		t.Fatal("Adopt wrote through to the previous store")
+	}
+}
+
 func TestFrameBoundsPanics(t *testing.T) {
 	f := NewFrame(0, 16, ReadWrite)
 	for _, fn := range []func(){
 		func() { f.Read(15, make([]byte, 2)) },
 		func() { f.Write(-1, []byte{1}) },
 		func() { f.Load(make([]byte, 3)) },
+		func() { f.Adopt(make([]byte, 3), ReadWrite) },
 	} {
 		func() {
 			defer func() {

@@ -274,8 +274,8 @@ func TestResultsQueryPushdownAtScale(t *testing.T) {
 }
 
 // BenchmarkResultsQuery measures a filtered, paginated /v1/results
-// page against a 10k-point store — the CI bench-diff gate watches this
-// to catch the query layer regressing back toward full scans.
+// page against a 10k-point store. No committed baseline gates it yet
+// (CI only smoke-runs it); ROADMAP item 2 asks for BENCH_service.json.
 func BenchmarkResultsQuery(b *testing.B) {
 	cache := seedCache(b, filepath.Join(b.TempDir(), "cache"), 10_000)
 	s, err := New(Config{Workers: 1, NewApp: testApps, Cache: cache})
