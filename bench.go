@@ -43,12 +43,33 @@ func RunBenchmark(app App, cfg RunConfig) (Result, error) { return harness.Run(a
 
 // BuildFigureByID regenerates one of the paper's Figures 1-5.
 func BuildFigureByID(id int, paperScale bool) (Figure, error) {
-	spec, err := harness.SpecByID(id)
+	figs, err := buildFigures(fmt.Sprintf("fig%d", id), paperScale)
 	if err != nil {
 		return Figure{}, err
 	}
-	return harness.BuildSpec(spec, paperScale)
+	return figs[0], nil
 }
 
 // BuildAllFigures regenerates all five figures.
-func BuildAllFigures(paperScale bool) ([]Figure, error) { return harness.BuildAll(paperScale) }
+func BuildAllFigures(paperScale bool) ([]Figure, error) { return buildFigures("figures", paperScale) }
+
+// buildFigures runs a figure preset on the sweep executor, one point
+// per host CPU at a time, and assembles the results.
+func buildFigures(preset string, paperScale bool) ([]Figure, error) {
+	specs, err := sweep.Preset(preset)
+	if err != nil {
+		return nil, fmt.Errorf("hyperion: %w", err)
+	}
+	for i := range specs {
+		specs[i].PaperScale = paperScale
+	}
+	points, err := sweep.ExpandAll(specs)
+	if err != nil {
+		return nil, fmt.Errorf("hyperion: %w", err)
+	}
+	out, err := (&sweep.Executor{}).RunPoints(points)
+	if err != nil {
+		return nil, fmt.Errorf("hyperion: %w", err)
+	}
+	return sweep.Figures(out.Points)
+}

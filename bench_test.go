@@ -6,8 +6,10 @@
 // primitives.
 //
 // Each figure benchmark runs its program at reduced scale on
-// representative configurations; `go run ./cmd/hyperion-figures` produces
-// the full curves. Benchmark metrics report *virtual* seconds per
+// representative configurations; `go run ./cmd/hyperion-sweep -preset
+// figures -report` produces the full curves. The ablation benchmarks run
+// the sweep presets (`-preset ablate-check`, ...) on the executor with a
+// reduced-scale program in place of the preset's. Benchmark metrics report *virtual* seconds per
 // protocol as custom metrics (vs_java_ic, vs_java_pf), so the protocol
 // comparison is visible directly in the bench output.
 package hyperion_test
@@ -24,7 +26,7 @@ import (
 	"repro/internal/apps/tsp"
 	"repro/internal/harness"
 	"repro/internal/model"
-	"repro/internal/vtime"
+	"repro/internal/sweep"
 )
 
 // benchFigure runs one benchmark app under both protocols on the given
@@ -95,18 +97,45 @@ func BenchmarkFigSCICluster(b *testing.B) {
 	benchFigure(b, func() apps.App { return jacobi.New(96, 6) }, model.SCI450(), 4)
 }
 
+// runPreset executes a single-spec sweep preset on the executor with
+// every point running makeApp's reduced-scale program, and fails the
+// benchmark on a failed or self-invalidated point.
+func runPreset(b *testing.B, name string, makeApp func() apps.App) []sweep.PointResult {
+	b.Helper()
+	specs, err := sweep.Preset(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := &sweep.Executor{NewApp: func(string, bool) (apps.App, error) { return makeApp(), nil }}
+	out, err := x.Run(specs[0])
+	if err == nil {
+		err = out.Err()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pr := range out.Points {
+		if !pr.Result.Check.Valid {
+			b.Fatalf("%s failed validation: %s", pr.Point, pr.Result.Check.Summary)
+		}
+	}
+	return out.Points
+}
+
 // BenchmarkAblationCheckCost sweeps the in-line check cost on ASP,
 // quantifying §3.3's tradeoff axis 1 (check cost vs computation).
 func BenchmarkAblationCheckCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.AblateCheckCycles(func() apps.App { return asp.New(64, 1) },
-			model.Myrinet200(), 4, []float64{2, 8, 32}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 3 && b.N == 1 {
-			b.ReportMetric(pts[0].Improvement()*100, "impr_2cyc_%")
-			b.ReportMetric(pts[2].Improvement()*100, "impr_32cyc_%")
+		results := runPreset(b, "ablate-check", func() apps.App { return asp.New(64, 1) })
+		if b.N == 1 {
+			for _, im := range sweep.Improvements(results) {
+				switch im.Point.Override.Label {
+				case "check_cycles=2":
+					b.ReportMetric(im.Improvement*100, "impr_2cyc_%")
+				case "check_cycles=32":
+					b.ReportMetric(im.Improvement*100, "impr_32cyc_%")
+				}
+			}
 		}
 	}
 }
@@ -115,11 +144,7 @@ func BenchmarkAblationCheckCost(b *testing.B) {
 // quantifying §3.3's tradeoff axis 2 (fault cost vs remote accesses).
 func BenchmarkAblationFaultCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := harness.AblateFaultCost(func() apps.App { return jacobi.New(64, 4) },
-			model.Myrinet200(), 4, []vtime.Duration{vtime.Micro(12), vtime.Micro(22), vtime.Micro(100)}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runPreset(b, "ablate-fault", func() apps.App { return jacobi.New(64, 4) })
 	}
 }
 
@@ -127,11 +152,7 @@ func BenchmarkAblationFaultCost(b *testing.B) {
 // §3.1 vs transfer volume).
 func BenchmarkAblationPageSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := harness.AblatePageSize(func() apps.App { return jacobi.New(64, 4) },
-			model.Myrinet200(), 4, []int{1024, 4096, 16384}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runPreset(b, "pagesize", func() apps.App { return jacobi.New(64, 4) })
 	}
 }
 
@@ -139,14 +160,19 @@ func BenchmarkAblationPageSize(b *testing.B) {
 // work: more than one application thread per node.
 func BenchmarkMultiThreadPerNode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.ThreadsPerNodeSweep(func() apps.App { return jacobi.New(96, 4) },
-			model.Myrinet200(), 4, []int{1, 2, 4}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if b.N == 1 && len(pts) == 3 {
-			b.ReportMetric(pts[0].Results["java_pf"].Seconds(), "vs_1tpn")
-			b.ReportMetric(pts[2].Results["java_pf"].Seconds(), "vs_4tpn")
+		results := runPreset(b, "tpn", func() apps.App { return jacobi.New(96, 4) })
+		if b.N == 1 {
+			for _, pr := range results {
+				if pr.Point.Protocol != "java_pf" {
+					continue
+				}
+				switch pr.Point.ThreadsPerNode {
+				case 1:
+					b.ReportMetric(pr.Result.Seconds(), "vs_1tpn")
+				case 4:
+					b.ReportMetric(pr.Result.Seconds(), "vs_4tpn")
+				}
+			}
 		}
 	}
 }

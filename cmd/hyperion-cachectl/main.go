@@ -1,23 +1,13 @@
 // Command hyperion-cachectl administers the packed result cache that
-// hyperion-sweep -cache and hyperion-server -cache share: the one-shot
-// migration from the legacy one-JSON-file-per-point layout, offline
+// hyperion-sweep -cache and hyperion-server -cache share: offline
 // compaction, end-to-end verification, and a stats summary.
 //
-// Operations run in a fixed order when combined: -migrate-from, then
-// -compact, then -verify, then -stats — so a whole cache upgrade is
-// one invocation:
-//
-//	hyperion-cachectl -store .sweep-cache -migrate-from old-cache -compact -verify
-//
-// Migration reads the legacy tree and never modifies it; delete it
-// once -verify passes. Migrating a cache in place (the legacy shard
-// directories and the packed segments sharing one directory) works:
-// pass the same path to -store and -migrate-from.
+// Operations run in a fixed order when combined: -compact, then
+// -verify, then -stats.
 //
 // Usage:
 //
 //	hyperion-cachectl -store DIR -stats
-//	hyperion-cachectl -store DIR -migrate-from LEGACYDIR [-compact] [-verify]
 //	hyperion-cachectl -store DIR -compact -verify
 package main
 
@@ -42,7 +32,6 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hyperion-cachectl", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "packed result cache directory (required)")
-	migrateFrom := fs.String("migrate-from", "", "import a legacy one-JSON-file-per-point cache tree from this directory")
 	compact := fs.Bool("compact", false, "rewrite the store's segments, dropping superseded and stale-version records")
 	verify := fs.Bool("verify", false, "check segment framing, checksums, and every live entry's decode/version/key")
 	statsF := fs.Bool("stats", false, "print the store's shape: segments, live/stale records, torn tails, size")
@@ -63,8 +52,8 @@ func run(args []string, stdout io.Writer) error {
 	if *storeDir == "" {
 		return fmt.Errorf("-store is required")
 	}
-	if *migrateFrom == "" && !*compact && !*verify && !*statsF {
-		return fmt.Errorf("nothing to do: pass -migrate-from, -compact, -verify and/or -stats")
+	if !*compact && !*verify && !*statsF {
+		return fmt.Errorf("nothing to do: pass -compact, -verify and/or -stats")
 	}
 
 	cache, err := sweep.OpenCache(*storeDir)
@@ -73,13 +62,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer cache.Close()
 
-	if *migrateFrom != "" {
-		rep, err := cache.ImportJSONTree(*migrateFrom)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "migrated %s: %d entries imported, %d skipped\n", *migrateFrom, rep.Imported, rep.Skipped)
-	}
 	if *compact {
 		before := cache.Store().Stats()
 		if err := cache.Store().Compact(); err != nil {

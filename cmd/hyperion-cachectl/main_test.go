@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,19 +11,14 @@ import (
 	"repro/internal/vtime"
 )
 
-// legacyEntry mirrors the legacy cache file format (and the packed
-// store's payload): the sweep package's cacheEntry, reconstructed here
-// from its public JSON shape.
-type legacyEntry struct {
-	Version string         `json:"version"`
-	Point   sweep.Point    `json:"point"`
-	Result  harness.Result `json:"result"`
-}
-
-// writeLegacyTree fabricates a pre-packed one-JSON-file-per-point
-// cache under dir and returns its points.
-func writeLegacyTree(t *testing.T, dir string, n int) []sweep.Point {
+// populate opens a store at dir, puts n distinct points twice each (so
+// compaction has superseded records to drop) and returns the points.
+func populate(t *testing.T, dir string, n int) []sweep.Point {
 	t.Helper()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pts []sweep.Point
 	for i := 0; i < n; i++ {
 		p := sweep.Point{
@@ -38,39 +31,32 @@ func writeLegacyTree(t *testing.T, dir string, n int) []sweep.Point {
 			Time:    vtime.Time(i+1) * vtime.Time(vtime.Millisecond),
 			Check:   apps.Check{Summary: "ok", Valid: true},
 		}
-		key := p.Key()
-		blob, err := json.MarshalIndent(legacyEntry{Version: "hyperion-sweep-v3", Point: p, Result: r}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, key[:2], key+".json")
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
+		for range 2 {
+			if err := cache.Put(p, r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pts = append(pts, p)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return pts
 }
 
-// TestCachectlFullUpgrade drives the whole documented upgrade in one
-// invocation — migrate, compact, verify, stats — and checks the
-// resulting store serves every legacy point.
+// TestCachectlFullUpgrade drives compact, verify and stats in one
+// invocation and checks the resulting store still serves every point.
 func TestCachectlFullUpgrade(t *testing.T) {
-	legacy := filepath.Join(t.TempDir(), "legacy")
-	pts := writeLegacyTree(t, legacy, 6)
 	store := filepath.Join(t.TempDir(), "packed")
+	pts := populate(t, store, 6)
 
 	var out strings.Builder
-	err := run([]string{"-store", store, "-migrate-from", legacy, "-compact", "-verify", "-stats"}, &out)
+	err := run([]string{"-store", store, "-compact", "-verify", "-stats"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{
-		"6 entries imported, 0 skipped",
-		"compacted:",
+		"6 stale records dropped",
 		"verified: 6 entries intact",
 		"live records:  6",
 		"stale records: 0",
@@ -87,16 +73,8 @@ func TestCachectlFullUpgrade(t *testing.T) {
 	defer cache.Close()
 	for _, p := range pts {
 		if _, ok := cache.Get(p); !ok {
-			t.Errorf("migrated point missed after compaction: %s", p)
+			t.Errorf("point missed after compaction: %s", p)
 		}
-	}
-	// The legacy tree was read, never modified.
-	matches, err := filepath.Glob(filepath.Join(legacy, "*", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != len(pts) {
-		t.Errorf("legacy tree has %d files after migration, want %d untouched", len(matches), len(pts))
 	}
 }
 
@@ -125,9 +103,8 @@ func TestCachectlStatsOnly(t *testing.T) {
 	}
 }
 
-// TestCachectlErrors: the argument contract — a store is required,
-// idle invocations and unknown positionals are refused, and a missing
-// migration source fails loudly.
+// TestCachectlErrors: the argument contract — a store is required, and
+// idle invocations, unknown positionals and removed flags are refused.
 func TestCachectlErrors(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
@@ -135,7 +112,7 @@ func TestCachectlErrors(t *testing.T) {
 		{},                             // no -store
 		{"-store", dir},                // nothing to do
 		{"-store", dir, "-stats", "x"}, // stray positional
-		{"-store", dir, "-migrate-from", filepath.Join(dir, "absent")},
+		{"-store", dir, "-migrate-from", dir},
 	}
 	for _, args := range cases {
 		if err := run(args, &out); err == nil {

@@ -3,7 +3,8 @@
 //
 // A sweep is the cross product of apps, clusters, protocols, node
 // counts, threads per node and cost overrides. It comes from a JSON
-// spec file (-spec) and/or axis flags; with neither, the full paper
+// spec file (-spec) or a named preset (-preset: the paper's figures and
+// the §3.3 ablations), and/or axis flags; with none, the full paper
 // grid runs: five benchmarks x two clusters x two protocols x every
 // node count each platform supports. Points execute across all host
 // CPUs, and with -cache every completed point is stored on disk, so
@@ -27,6 +28,9 @@
 //	hyperion-sweep -apps jacobi,asp -nodes 1,2,4,8 -aggregate
 //	hyperion-sweep -spec sweep.json -format json -out results.json
 //	hyperion-sweep -spec sweep.json -print-spec # show the expanded grid, run nothing
+//	hyperion-sweep -preset fig2 -report         # Figure 2: CSV, chart, improvement, claims
+//	hyperion-sweep -preset figures -report -out /dev/null   # exit status = the §4.3 claims
+//	hyperion-sweep -preset ablate-check -apps asp -nodes 8 -aggregate
 package main
 
 import (
@@ -58,9 +62,10 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hyperion-sweep", flag.ContinueOnError)
 	var (
 		specPath    = fs.String("spec", "", "JSON sweep spec file (axis flags override its fields)")
+		presetName  = fs.String("preset", "", "named grid instead of -spec (axis flags override its fields): "+strings.Join(sweep.PresetNames(), ", "))
 		appsF       = fs.String("apps", "", "comma-separated benchmarks: "+strings.Join(sweep.AppNames(), ","))
 		clustersF   = fs.String("clusters", "", "comma-separated platforms: "+strings.Join(sweep.ClusterNames(), ","))
-		protosF     = fs.String("protocols", "", "comma-separated protocols (default java_ic,java_pf)")
+		protosF     = fs.String("protocols", "", "comma-separated protocols, or 'all' for every registered one (default java_ic,java_pf)")
 		nodesF      = fs.String("nodes", "", "comma-separated node counts (default 1..MaxNodes per platform)")
 		tpnF        = fs.String("tpn", "", "comma-separated threads-per-node values (default 1)")
 		repeats     = fs.Int("repeats", 0, "median-of-k repeats per point")
@@ -70,7 +75,8 @@ func run(args []string, stdout io.Writer) error {
 		outPath     = fs.String("out", "-", "results file (- = stdout)")
 		format      = fs.String("format", "csv", "results format: csv or json (both stream as points complete)")
 		columnsF    = fs.String("columns", "", "CSV counter columns: comma-separated engine counter names, \"all\", or empty for the default set (checks,faults,mprotects,fetches)")
-		aggregate   = fs.Bool("aggregate", false, "print speedup curves, protocol crossovers and best configs")
+		aggregate   = fs.Bool("aggregate", false, "print speedup curves, protocol crossovers, java_pf-vs-java_ic improvements and best configs")
+		report      = fs.Bool("report", false, "print each app's time-vs-nodes chart, the mean-improvement table and the §4.3 claims; a failed claim fails the command")
 		printSpec   = fs.Bool("print-spec", false, "print the resolved spec as JSON and exit")
 		quiet       = fs.Bool("quiet", false, "only log warnings and errors (shorthand for -log-level warn)")
 		logLevel    = fs.String("log-level", "info", "stderr diagnostics level: debug, info, warn or error")
@@ -106,51 +112,70 @@ func run(args []string, stdout io.Writer) error {
 	}
 	log := obslog.New(os.Stderr, level, lformat)
 
-	spec := sweep.PaperGrid()
-	if *specPath != "" {
-		var err error
-		spec, err = sweep.LoadSpec(*specPath)
+	// One spec, except for the "figures" preset (Figures 1-5 back to
+	// back); axis flags apply to each.
+	specs := []sweep.Spec{sweep.PaperGrid()}
+	switch {
+	case *specPath != "" && *presetName != "":
+		return fmt.Errorf("-spec and -preset are mutually exclusive")
+	case *specPath != "":
+		spec, err := sweep.LoadSpec(*specPath)
+		if err != nil {
+			return err
+		}
+		specs = []sweep.Spec{spec}
+	case *presetName != "":
+		specs, err = sweep.Preset(*presetName)
 		if err != nil {
 			return err
 		}
 	}
-	if *appsF != "" {
-		spec.Apps = splitList(*appsF)
+	protocols, err := harness.ParseProtocols(*protosF)
+	if err != nil {
+		return err
 	}
-	if *clustersF != "" {
-		spec.Clusters = splitList(*clustersF)
+	nodes, err := splitInts(*nodesF)
+	if err != nil {
+		return err
 	}
-	if *protosF != "" {
-		spec.Protocols = splitList(*protosF)
+	tpn, err := splitInts(*tpnF)
+	if err != nil {
+		return err
 	}
-	if *nodesF != "" {
-		nodes, err := splitInts(*nodesF)
-		if err != nil {
-			return err
+	for i := range specs {
+		spec := &specs[i]
+		if *appsF != "" {
+			spec.Apps = splitList(*appsF)
 		}
-		spec.Nodes = nodes
-	}
-	if *tpnF != "" {
-		tpn, err := splitInts(*tpnF)
-		if err != nil {
-			return err
+		if *clustersF != "" {
+			spec.Clusters = splitList(*clustersF)
 		}
-		spec.ThreadsPerNode = tpn
-	}
-	if *repeats > 0 {
-		spec.Repeats = *repeats
-	}
-	if *paperScale {
-		spec.PaperScale = true
+		if protocols != nil {
+			spec.Protocols = protocols
+		}
+		if nodes != nil {
+			spec.Nodes = nodes
+		}
+		if tpn != nil {
+			spec.ThreadsPerNode = tpn
+		}
+		if *repeats > 0 {
+			spec.Repeats = *repeats
+		}
+		if *paperScale {
+			spec.PaperScale = true
+		}
 	}
 
 	if *printSpec {
-		blob, err := json.MarshalIndent(spec, "", "  ")
-		if err != nil {
-			return err
+		for _, spec := range specs {
+			blob, err := json.MarshalIndent(spec, "", "  ")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, string(blob))
 		}
-		fmt.Fprintln(stdout, string(blob))
-		points, err := spec.Expand()
+		points, err := sweep.ExpandAll(specs)
 		if err != nil {
 			return err
 		}
@@ -172,7 +197,7 @@ func run(args []string, stdout io.Writer) error {
 	if columns != nil && *format != "csv" {
 		return fmt.Errorf("-columns only applies to -format csv")
 	}
-	points, err := spec.Expand()
+	points, err := sweep.ExpandAll(specs)
 	if err != nil {
 		return err
 	}
@@ -248,16 +273,28 @@ func run(args []string, stdout io.Writer) error {
 		"elapsed", time.Since(start))
 
 	if *aggregate {
-		protoA, protoB := crossoverPair(spec)
+		protoA, protoB := crossoverPair(specs[0])
 		fmt.Fprintln(stdout, "\n== speedup curves ==")
 		fmt.Fprint(stdout, sweep.FormatSpeedups(sweep.Speedups(out.Points)))
 		fmt.Fprintf(stdout, "\n== protocol crossovers (%s vs %s) ==\n", protoA, protoB)
 		fmt.Fprint(stdout, sweep.FormatCrossovers(sweep.Crossovers(out.Points, protoA, protoB), protoA, protoB))
+		fmt.Fprintln(stdout, "\n== java_pf vs java_ic improvement ==")
+		fmt.Fprint(stdout, sweep.FormatImprovements(sweep.Improvements(out.Points)))
 		fmt.Fprintln(stdout, "\n== best config per app ==")
 		fmt.Fprint(stdout, sweep.FormatBest(sweep.BestConfigs(out.Points)))
 	}
-
-	return out.Err()
+	if err := out.Err(); err != nil {
+		return err
+	}
+	if *report {
+		figs, err := sweep.Figures(out.Points)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
+		return harness.Report(stdout, figs)
+	}
+	return nil
 }
 
 // streamWriter emits results incrementally: begin before the sweep,

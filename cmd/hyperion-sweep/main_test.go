@@ -35,6 +35,90 @@ func TestRunPrintSpec(t *testing.T) {
 	}
 }
 
+// TestRunPreset: a preset stands where a spec file would — the axis
+// flags override it, -print-spec shows the resolved spec — and cannot
+// be combined with one.
+func TestRunPreset(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-preset", "fig2", "-print-spec"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var spec sweep.Spec
+	if err := json.Unmarshal(out.Bytes(), &spec); err != nil {
+		t.Fatalf("print-spec is not JSON: %v\n%s", err, out.String())
+	}
+	if spec.Name != "fig2" || len(spec.Apps) != 1 || spec.Apps[0] != "jacobi" || spec.Nodes != nil {
+		t.Errorf("resolved spec %+v", spec)
+	}
+
+	out.Reset()
+	if err := run([]string{"-preset", "fig2", "-nodes", "1,2", "-quiet"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	// 2 clusters x 2 node counts x 2 protocols.
+	if rows := strings.Count(out.String(), "\njacobi,"); rows != 8 {
+		t.Errorf("-nodes 1,2 over fig2: %d rows, want 8:\n%s", rows, out.String())
+	}
+
+	// An ablation preset moved to another app, platform and node count;
+	// -aggregate prints its java_pf-vs-java_ic table.
+	out.Reset()
+	if err := run([]string{"-preset", "tpn", "-apps", "pi", "-clusters", "sci", "-nodes", "2", "-aggregate", "-quiet"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(out.String(), "\npi,sci,2,"); rows != 8 {
+		t.Errorf("tpn preset: %d rows, want 4 thread counts x 2 protocols:\n%s", rows, out.String())
+	}
+	if !strings.Contains(out.String(), "java_pf vs java_ic improvement") || !strings.Contains(out.String(), "pi/sci tpn=4") {
+		t.Errorf("aggregate lacks the improvement table:\n%s", out.String())
+	}
+
+	spec1 := filepath.Join(t.TempDir(), "s.json")
+	if err := os.WriteFile(spec1, []byte(`{"apps":["pi"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-preset", "fig2", "-spec", spec1, "-print-spec"}, &out); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("-preset with -spec: %v", err)
+	}
+}
+
+// TestRunReport: -report appends the charts, the improvement table and
+// the claims to stdout and succeeds when they hold. (That a failed
+// claim fails the command is harness.Report's contract, tested on
+// synthetic figures there.)
+func TestRunReport(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-preset", "fig1", "-nodes", "1,2", "-report", "-out", os.DevNull, "-quiet"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Figure 1. Pi", "mean impr", "[PASS] pi-identical"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunProtocolsFlag: -protocols goes through the one shared parser,
+// so "all" works and a bad list fails before anything runs.
+func TestRunProtocolsFlag(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-protocols", "all", "-print-spec"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var spec sweep.Spec
+	if err := json.Unmarshal(out.Bytes(), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Protocols) != 4 {
+		t.Errorf("-protocols all resolved to %v", spec.Protocols)
+	}
+	for _, bad := range []string{"java_pf,java_zz", " ,"} {
+		if err := run([]string{"-protocols", bad, "-print-spec"}, &out); err == nil || !strings.Contains(err.Error(), "protocol") {
+			t.Errorf("-protocols %q: %v", bad, err)
+		}
+	}
+}
+
 // TestRunStreamsCSV runs a two-point sweep and checks the CSV comes out
 // row-per-point with the streaming writer.
 func TestRunStreamsCSV(t *testing.T) {
@@ -116,6 +200,7 @@ func TestRunErrors(t *testing.T) {
 		{"-apps", "warp"},
 		{"-nodes", "two"},
 		{"-spec", "no-such-file.json"},
+		{"-preset", "fig9"},
 		{"-columns", "bogus_counter"},
 		{"-columns", "faults", "-format", "json"},
 		{"stray-arg"},

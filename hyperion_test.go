@@ -161,8 +161,8 @@ func TestBuildFigureByID(t *testing.T) {
 	if _, err := hyperion.BuildFigureByID(9, false); err == nil {
 		t.Error("figure 9 accepted")
 	}
-	// Building an actual figure is covered by the harness tests; here we
-	// only check the public wiring with the cheapest one (Pi).
+	// A figure's data is pinned by the sweep package's golden test; here
+	// we only check the public wiring with the cheapest one (Pi).
 	fig, err := hyperion.BuildFigureByID(1, false)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
-// Package harness assembles complete simulated Hyperion runs and
-// regenerates the paper's evaluation: Figures 1-5 (execution time vs
-// number of nodes for the five benchmarks, four series each: two clusters
-// x two protocols) plus the §4.3 improvement analysis and this
-// reproduction's ablation sweeps.
+// Package harness assembles one complete simulated Hyperion run (Run),
+// executes independent runs on a worker pool (RunJobsHooked), and holds
+// the paper's evaluation as pure functions over a Figure (execution
+// time vs number of nodes, one line per cluster x protocol): rendering,
+// the §4.3 improvement metric and its claims. It loops over no grid:
+// internal/sweep expands and runs every grid, the figures' included,
+// and assembles the Figures.
 package harness
 
 import (
@@ -199,71 +201,6 @@ func NodeCounts(c model.Cluster) []int {
 		out[i] = i + 1
 	}
 	return out
-}
-
-// BuildFigure sweeps one benchmark over both clusters, both protocols and
-// all node counts, reproducing one of Figures 1-5. The app factory is
-// invoked per run so instances stay stateless.
-func BuildFigure(id int, title string, makeApp func() apps.App, opts ...func(*RunConfig)) (Figure, error) {
-	return BuildFigureN(id, title, makeApp, 1, opts...)
-}
-
-// BuildFigureN is BuildFigure with each point measured `repeats` times,
-// keeping the median run. Branch-and-bound search sizes vary a few
-// percent with thread scheduling (as on the real system), so Figure 4 is
-// built from medians.
-func BuildFigureN(id int, title string, makeApp func() apps.App, repeats int, opts ...func(*RunConfig)) (Figure, error) {
-	return BuildFigureProtocols(id, title, makeApp, repeats, Protocols, opts...)
-}
-
-// BuildFigureProtocols is BuildFigureN over an explicit protocol list,
-// for figures that compare the extension protocols (java_up, java_hlrc)
-// alongside the paper's two.
-func BuildFigureProtocols(id int, title string, makeApp func() apps.App, repeats int, protocols []string, opts ...func(*RunConfig)) (Figure, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	if len(protocols) == 0 {
-		protocols = Protocols
-	}
-	fig := Figure{ID: id, Title: title}
-	for _, cl := range model.Clusters() {
-		for _, proto := range protocols {
-			line := Line{Label: fmt.Sprintf("%s, %s", cl.Name, proto)}
-			for _, n := range NodeCounts(cl) {
-				cfg := RunConfig{Cluster: cl, Nodes: n, Protocol: proto}
-				for _, o := range opts {
-					o(&cfg)
-				}
-				res, err := runMedian(makeApp, cfg, repeats)
-				if err != nil {
-					return Figure{}, err
-				}
-				line.Points = append(line.Points, Point{Nodes: n, Seconds: res.Seconds(), Result: res})
-			}
-			fig.Lines = append(fig.Lines, line)
-		}
-	}
-	return fig, nil
-}
-
-// runMedian runs the benchmark `repeats` times and returns the run with
-// the median execution time.
-func runMedian(makeApp func() apps.App, cfg RunConfig, repeats int) (Result, error) {
-	results := make([]Result, 0, repeats)
-	for i := 0; i < repeats; i++ {
-		res, err := Run(makeApp(), cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if !res.Check.Valid {
-			return Result{}, fmt.Errorf("harness: %s on %s x%d under %s failed validation: %s",
-				res.App, cfg.Cluster.Name, cfg.Nodes, cfg.Protocol, res.Check.Summary)
-		}
-		results = append(results, res)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Time < results[j].Time })
-	return results[len(results)/2], nil
 }
 
 // Improvement reports (ic - pf) / ic for one cluster at one node count,

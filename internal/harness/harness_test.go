@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/apps/jacobi"
 	"repro/internal/apps/pi"
 	"repro/internal/model"
@@ -124,28 +123,6 @@ func TestFigureRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestSpecs(t *testing.T) {
-	specs := Specs()
-	if len(specs) != 5 {
-		t.Fatalf("%d specs", len(specs))
-	}
-	names := []string{"pi", "jacobi", "barnes", "tsp", "asp"}
-	for i, s := range specs {
-		if s.ID != i+1 {
-			t.Errorf("spec %d has id %d", i, s.ID)
-		}
-		if got := s.MakeApp(false).Name(); got != names[i] {
-			t.Errorf("spec %d builds %q, want %q", i, got, names[i])
-		}
-	}
-	if _, err := SpecByID(6); err == nil {
-		t.Error("SpecByID(6) accepted")
-	}
-	if s, err := SpecByID(3); err != nil || s.Title == "" {
-		t.Errorf("SpecByID(3) = %+v, %v", s, err)
-	}
-}
-
 func TestCheckClaimsOnSyntheticData(t *testing.T) {
 	// Build synthetic figures where pf always wins by a known margin and
 	// verify the claim evaluation logic.
@@ -201,48 +178,32 @@ func TestCheckClaimsOnSyntheticData(t *testing.T) {
 	if !strings.Contains(ImprovementTable(figs), "fig 5") {
 		t.Error("ImprovementTable output")
 	}
-}
 
-func TestAblationSweeps(t *testing.T) {
-	mk := func() apps.App { return jacobi.New(32, 2) }
-
-	pts, err := AblateCheckCycles(mk, model.Myrinet200(), 2, []float64{2, 16}, 2)
-	if err != nil {
-		t.Fatal(err)
+	// A failed claim must fail the report (and so the command printing
+	// it), not just print [FAIL].
+	var out strings.Builder
+	if err := Report(&out, figs); err == nil || !strings.Contains(err.Error(), "barnes-decline") {
+		t.Errorf("Report error = %v, want the failed barnes-decline named", err)
 	}
-	if len(pts) != 2 || pts[0].Improvement() >= pts[1].Improvement() {
-		t.Fatalf("improvement should grow with check cost: %.3f vs %.3f",
-			pts[0].Improvement(), pts[1].Improvement())
+	if !strings.Contains(out.String(), "[FAIL] barnes-decline") || !strings.Contains(out.String(), "Figure 5") {
+		t.Errorf("report lacks the failed claim or the charts:\n%s", out.String())
 	}
-
-	fpts, err := AblateFaultCost(mk, model.Myrinet200(), 2, []vtime.Duration{vtime.Micro(5), vtime.Micro(200)}, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Bend Barnes' Myrinet java_pf line into the paper's 46% -> 28%
+	// decline: all five claims pass and the report succeeds.
+	myr := model.Myrinet200()
+	for _, l := range figs[2].Lines {
+		for i := range l.Points {
+			if pt := &l.Points[i]; pt.Result.Cluster == myr.Name && pt.Result.Protocol == "java_pf" {
+				impr := 0.46 - 0.18*float64(pt.Nodes-1)/float64(myr.MaxNodes-1)
+				pt.Seconds = 10 / float64(pt.Nodes) * (1 - impr)
+			}
+		}
 	}
-	if fpts[0].Improvement() <= fpts[1].Improvement() {
-		t.Fatalf("improvement should shrink with fault cost: %.3f vs %.3f",
-			fpts[0].Improvement(), fpts[1].Improvement())
+	out.Reset()
+	if err := Report(&out, figs); err != nil {
+		t.Errorf("Report on all-passing data: %v\n%s", err, out.String())
 	}
-
-	ppts, err := AblatePageSize(mk, model.Myrinet200(), 2, []int{1024, 4096}, 0)
-	if err != nil || len(ppts) != 2 {
-		t.Fatalf("page size sweep: %v", err)
-	}
-
-	tpts, err := ThreadsPerNodeSweep(mk, model.Myrinet200(), 2, []int{1, 2}, 0)
-	if err != nil || len(tpts) != 2 {
-		t.Fatalf("tpn sweep: %v", err)
-	}
-
-	npts, err := NetworkSweep(mk, 2, 3)
-	if err != nil || len(npts) != 3 {
-		t.Fatalf("network sweep: %v, %d points", err, len(npts))
-	}
-
-	if !strings.Contains(FormatAblation(pts), "improvement") {
-		t.Error("FormatAblation output")
-	}
-	if FormatAblation(nil) == "" {
-		t.Error("FormatAblation(nil)")
+	if n := strings.Count(out.String(), "[PASS]"); n != 5 {
+		t.Errorf("%d [PASS] lines, want 5:\n%s", n, out.String())
 	}
 }

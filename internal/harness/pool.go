@@ -15,9 +15,9 @@ import (
 // This file is the harness's concurrent execution primitive. Every
 // simulated System is fully independent — its cluster, engine, counters
 // and virtual clocks are all per-run state — so independent runs can
-// execute on as many host CPUs as are available. The sweep subsystem
-// (internal/sweep) and the ablation sweeps below both schedule their
-// grids through RunJobs rather than hand-rolled sequential loops.
+// execute on as many host CPUs as are available. The sweep executor
+// (internal/sweep) is the pool's one caller: every grid in the repo is
+// scheduled through it.
 
 // Job is one benchmark run to execute: an app factory (invoked inside the
 // worker, so instances stay per-run) and its configuration.
@@ -40,7 +40,7 @@ type JobResult struct {
 // canceled: the pool drained its running jobs and never started this one.
 var ErrCanceled = errors.New("harness: job canceled before it started")
 
-// PoolHooks instruments a RunJobs pool. All callbacks are optional and
+// PoolHooks instruments a RunJobsHooked pool. All callbacks are optional and
 // are invoked serially (never concurrently with each other), so they may
 // touch shared state without locking.
 type PoolHooks struct {
@@ -53,7 +53,7 @@ type PoolHooks struct {
 	// Cancel, when non-nil and closed, stops the pool from starting
 	// queued jobs. Jobs already running drain to completion; jobs never
 	// started settle with ErrCanceled. This is the graceful-shutdown
-	// primitive: close Cancel, wait for RunJobs to return, and every
+	// primitive: close Cancel, wait for RunJobsHooked to return, and every
 	// result is either fully computed or cleanly marked canceled.
 	Cancel <-chan struct{}
 	// Logger, when non-nil, reports genuinely failed jobs — including
@@ -64,18 +64,12 @@ type PoolHooks struct {
 	Logger *slog.Logger
 }
 
-// RunJobs executes jobs concurrently on a worker pool and returns their
-// outcomes in input order (results[i] corresponds to jobs[i], whatever
-// order the workers finished in). workers <= 0 selects runtime.NumCPU().
-// A panic inside one job (a bug in an app kernel or the simulator) is
-// isolated to that job and reported as its error instead of tearing down
-// the whole sweep. onDone, when non-nil, is invoked serially as each job
-// completes, with the number of completed jobs so far — the progress hook.
-func RunJobs(jobs []Job, workers int, onDone func(done int, i int, jr JobResult)) []JobResult {
-	return RunJobsHooked(jobs, workers, PoolHooks{OnDone: onDone})
-}
-
-// RunJobsHooked is RunJobs with full pool instrumentation: start/done
+// RunJobsHooked executes jobs concurrently on a worker pool and returns
+// their outcomes in input order (results[i] corresponds to jobs[i],
+// whatever order the workers finished in). workers <= 0 selects
+// runtime.NumCPU(). A panic inside one job (a bug in an app kernel or
+// the simulator) is isolated to that job and reported as its error
+// instead of tearing down the whole sweep. hooks adds start/done
 // callbacks and cooperative cancellation.
 func RunJobsHooked(jobs []Job, workers int, hooks PoolHooks) []JobResult {
 	results := make([]JobResult, len(jobs))

@@ -37,7 +37,7 @@ func poolJobs() []Job {
 
 func TestRunJobsMatchesSequential(t *testing.T) {
 	jobs := poolJobs()
-	concurrent := RunJobs(jobs, 4, nil)
+	concurrent := RunJobsHooked(jobs, 4, PoolHooks{})
 	if err := FirstError(concurrent); err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestRunJobsMatchesSequential(t *testing.T) {
 func TestRunJobsDeterministicOrderAndProgress(t *testing.T) {
 	jobs := poolJobs()
 	var doneSeq []int
-	results := RunJobs(jobs, 3, func(done, i int, jr JobResult) {
+	results := RunJobsHooked(jobs, 3, PoolHooks{OnDone: func(done, i int, jr JobResult) {
 		doneSeq = append(doneSeq, done)
 		if jr.Err != nil {
 			t.Errorf("job %d failed: %v", i, jr.Err)
 		}
-	})
+	}})
 	if len(doneSeq) != len(jobs) {
 		t.Fatalf("onDone called %d times for %d jobs", len(doneSeq), len(jobs))
 	}
@@ -92,7 +92,7 @@ func TestRunJobsPanicIsolation(t *testing.T) {
 		{MakeApp: func() apps.App { return panicApp{} }, Config: RunConfig{Cluster: model.SCI450(), Nodes: 2, Protocol: "java_pf"}},
 		{MakeApp: func() apps.App { return pi.New(10_000) }, Config: RunConfig{Cluster: model.SCI450(), Nodes: 3, Protocol: "java_ic"}},
 	}
-	results := RunJobs(jobs, 2, nil)
+	results := RunJobsHooked(jobs, 2, PoolHooks{})
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panicked") {
 		t.Fatalf("panicking job error = %v", results[1].Err)
 	}
@@ -113,15 +113,15 @@ func TestRunJobsErrorPropagation(t *testing.T) {
 	jobs := []Job{
 		{MakeApp: func() apps.App { return pi.New(1000) }, Config: RunConfig{Cluster: model.SCI450(), Nodes: 2, Protocol: "bogus"}},
 	}
-	results := RunJobs(jobs, 0, nil)
+	results := RunJobsHooked(jobs, 0, PoolHooks{})
 	if results[0].Err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }
 
 func TestRunJobsEmpty(t *testing.T) {
-	if got := RunJobs(nil, 4, nil); len(got) != 0 {
-		t.Fatalf("RunJobs(nil) = %v", got)
+	if got := RunJobsHooked(nil, 4, PoolHooks{}); len(got) != 0 {
+		t.Fatalf("RunJobsHooked(nil) = %v", got)
 	}
 }
 

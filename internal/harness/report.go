@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/model"
@@ -161,6 +162,30 @@ func ReportClaims(claims []Claim) string {
 		fmt.Fprintf(&b, "  [%s] %-16s %s\n", status, c.Name, c.Detail)
 	}
 	return b.String()
+}
+
+// Report writes the evaluation report of a set of regenerated figures:
+// each chart (at one fixed size, 72x20), the mean-improvement table and
+// the §4.3 claims. It returns an error naming the claims that failed,
+// so a command that prints the report exits non-zero on them and a CI
+// step can gate on the paper's result.
+func Report(w io.Writer, figs []Figure) error {
+	for _, f := range figs {
+		fmt.Fprintln(w, f.Render(72, 20))
+	}
+	fmt.Fprintln(w, ImprovementTable(figs))
+	claims := CheckClaims(figs)
+	fmt.Fprintln(w, ReportClaims(claims))
+	var failed []string
+	for _, c := range claims {
+		if !c.Pass {
+			failed = append(failed, c.Name)
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("harness: %d of %d §4.3 claims failed: %s", len(failed), len(claims), strings.Join(failed, ", "))
+	}
+	return nil
 }
 
 // ImprovementTable renders per-figure improvements for both clusters.

@@ -264,11 +264,64 @@ func BestConfigs(results []PointResult) []Best {
 	return out
 }
 
+// Improvement is the §4.3 metric at one configuration and node count:
+// how much of java_ic's execution time java_pf saves.
+type Improvement struct {
+	// Point identifies the configuration; its Protocol is empty.
+	Point                Point
+	ICSeconds, PFSeconds float64
+	// Improvement is (ic - pf) / ic.
+	Improvement float64
+}
+
+// Improvements pairs the java_ic and java_pf results of every
+// configuration that has both, in result order — for an expanded spec
+// the order its axes were declared in, which is the order an ablation
+// table wants. This is the tradeoff of §3.3 read off a grid: walk a
+// cost axis and watch the improvement move.
+func Improvements(results []PointResult) []Improvement {
+	type cfgKey struct {
+		app, cluster, config string
+		tpn, nodes           int
+	}
+	var out []Improvement
+	index := map[cfgKey]int{} // configuration -> index into out
+	for _, pr := range usable(results) {
+		p := pr.Point
+		proto := p.Protocol
+		if proto != "java_ic" && proto != "java_pf" {
+			continue
+		}
+		p.Protocol = ""
+		k := cfgKey{p.App, p.Cluster, p.Override.Fingerprint(), p.ThreadsPerNode, p.Nodes}
+		i, ok := index[k]
+		if !ok {
+			i = len(out)
+			index[k] = i
+			out = append(out, Improvement{Point: p})
+		}
+		if proto == "java_ic" {
+			out[i].ICSeconds = pr.Result.Seconds()
+		} else {
+			out[i].PFSeconds = pr.Result.Seconds()
+		}
+	}
+	// usable results have positive times, so zero means "not seen".
+	paired := out[:0]
+	for _, im := range out {
+		if im.ICSeconds > 0 && im.PFSeconds > 0 {
+			im.Improvement = (im.ICSeconds - im.PFSeconds) / im.ICSeconds
+			paired = append(paired, im)
+		}
+	}
+	return paired
+}
+
 // --- rendering -----------------------------------------------------------
 
-// CSVHeader is the default column set of WriteCSV, a superset of the
-// hyperion-bench grid columns: the fixed identity/outcome prefix plus
-// the four legacy counter columns (DefaultCSVColumns).
+// CSVHeader is the default column set of WriteCSV: the fixed
+// identity/outcome prefix plus the four legacy counter columns
+// (DefaultCSVColumns).
 const CSVHeader = "app,cluster,nodes,tpn,protocol,label,seconds,valid,cached,messages,bytes,checks,faults,mprotects,fetches"
 
 // csvBase is the fixed prefix of every CSV row: point identity plus run
@@ -415,15 +468,36 @@ func FormatCrossovers(xs []Crossover, protoA, protoB string) string {
 	}
 	var b strings.Builder
 	for _, x := range xs {
-		cfg := fmt.Sprintf("%s/%s", x.App, x.Cluster)
-		if x.ThreadsPerNode > 1 {
-			cfg += fmt.Sprintf(" tpn=%d", x.ThreadsPerNode)
-		}
-		if x.Label != "" {
-			cfg += " [" + x.Label + "]"
-		}
 		fmt.Fprintf(&b, "%-40s n=%d→%d: %s → %s (wins by %.1f%%)\n",
-			cfg, x.PrevNodes, x.Nodes, x.From, x.To, x.Improvement*100)
+			configLabel(x.App, x.Cluster, x.ThreadsPerNode, x.Label), x.PrevNodes, x.Nodes, x.From, x.To, x.Improvement*100)
+	}
+	return b.String()
+}
+
+// configLabel names a protocol-less configuration in the tables.
+func configLabel(app, cluster string, tpn int, label string) string {
+	cfg := fmt.Sprintf("%s/%s", app, cluster)
+	if tpn > 1 {
+		cfg += fmt.Sprintf(" tpn=%d", tpn)
+	}
+	if label != "" {
+		cfg += " [" + label + "]"
+	}
+	return cfg
+}
+
+// FormatImprovements renders java_pf-vs-java_ic improvements as a table.
+func FormatImprovements(ims []Improvement) string {
+	if len(ims) == 0 {
+		return "(no configuration ran under both java_ic and java_pf)\n"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-40s %5s %12s %12s %12s\n", "config", "nodes", "java_ic (s)", "java_pf (s)", "improvement")
+	for _, im := range ims {
+		p := im.Point
+		fmt.Fprintf(&b, "%-40s %5d %12.6f %12.6f %11.1f%%\n",
+			configLabel(p.App, p.Cluster, p.ThreadsPerNode, p.Override.Label), p.Nodes,
+			im.ICSeconds, im.PFSeconds, im.Improvement*100)
 	}
 	return b.String()
 }

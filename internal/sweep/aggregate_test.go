@@ -66,6 +66,39 @@ func TestCrossovers(t *testing.T) {
 	}
 }
 
+// TestImprovements: java_ic and java_pf are paired per configuration and
+// node count, in result order (an ablation's declared axis order, not a
+// string sort that would put 16 before 2), and a configuration lacking
+// either protocol has no row.
+func TestImprovements(t *testing.T) {
+	ims := Improvements(syntheticResults())
+	if len(ims) != 4 {
+		t.Fatalf("%d improvements, want one per node count: %+v", len(ims), ims)
+	}
+	if im := ims[2]; im.Point.Nodes != 4 || im.Point.Protocol != "" || im.ICSeconds != 3.0 || im.PFSeconds != 2.25 || im.Improvement != (3.0-2.25)/3.0 {
+		t.Errorf("improvement at 4 nodes: %+v", im)
+	}
+	if ims[0].Improvement >= 0 {
+		t.Errorf("java_pf is slower at 1 node, improvement = %v", ims[0].Improvement)
+	}
+
+	var results []PointResult
+	for _, v := range []float64{2, 16, 4} {
+		for _, proto := range []string{"java_ic", "java_pf", "java_up"} {
+			if v == 4 && proto == "java_pf" {
+				continue // unpaired
+			}
+			p := Point{App: "asp", Cluster: "sci", Protocol: proto, Nodes: 2, ThreadsPerNode: 1, Repeats: 1,
+				Override: Override{CheckCycles: f64p(v)}}
+			results = append(results, PointResult{Point: p, Result: fakeResult(p, v)})
+		}
+	}
+	ims = Improvements(results)
+	if len(ims) != 2 || *ims[0].Point.Override.CheckCycles != 2 || *ims[1].Point.Override.CheckCycles != 16 {
+		t.Fatalf("want the two paired overrides in declared order, got %+v", ims)
+	}
+}
+
 func TestBestConfigs(t *testing.T) {
 	results := syntheticResults()
 	// A second app with a single obvious winner.
@@ -138,6 +171,11 @@ func TestAggregatesIgnoreFailedAndInvalidPoints(t *testing.T) {
 	if bests := BestConfigs(results); bests[len(bests)-1].Point.Nodes == 16 {
 		t.Fatal("invalid point won best-config")
 	}
+	for _, im := range Improvements(results) {
+		if im.Point.Nodes == 16 {
+			t.Fatal("failed/invalid pair reached the improvement table")
+		}
+	}
 }
 
 func TestRenderers(t *testing.T) {
@@ -163,6 +201,13 @@ func TestRenderers(t *testing.T) {
 	}
 	if !strings.Contains(FormatCrossovers(nil, "a", "b"), "no crossover") {
 		t.Error("empty crossover table")
+	}
+	it := FormatImprovements(Improvements(results))
+	if !strings.Contains(it, "improvement") || !strings.Contains(it, "25.0%") {
+		t.Errorf("improvement table:\n%s", it)
+	}
+	if !strings.Contains(FormatImprovements(nil), "no configuration") {
+		t.Error("empty improvement table")
 	}
 	bt := FormatBest(BestConfigs(results))
 	if !strings.Contains(bt, "jacobi") {

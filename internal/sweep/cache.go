@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 
 	"repro/internal/harness"
@@ -30,32 +28,22 @@ import (
 // A Cache is safe for concurrent use within a process. Distinct
 // processes may share a directory — each appends to its own segment —
 // but see a snapshot taken at OpenCache; the worst case of the race is
-// one point computed twice, never a corrupt entry. Caches written by
-// the pre-packed one-JSON-file-per-point layout are imported with
-// ImportJSONTree (hyperion-cachectl -migrate-from).
+// one point computed twice, never a corrupt entry.
 type Cache struct {
 	store *resultstore.Store
 }
 
 // cacheEntry is the serialized form of one cached point — the record
-// payload in the packed store, and the historical on-disk JSON format
-// the migrator imports.
+// payload in the packed store.
 type cacheEntry struct {
 	Version string         `json:"version"`
 	Point   Point          `json:"point"`
 	Result  harness.Result `json:"result"`
 }
 
-// legacyTempFile matches the temp files the pre-packed cache's Put
-// could orphan if the process died between CreateTemp and Rename
-// (".<key>.json.tmp<rand>"). OpenCache sweeps them.
-var legacyTempFile = regexp.MustCompile(`^\..*\.json\.tmp`)
-
-// OpenCache opens (creating if needed) a cache rooted at dir. Leftover
-// temp files — the packed store's own and the legacy JSON layout's
-// orphaned ".*.json.tmp*" files — are swept. An unreadable or corrupt
-// store root fails here, loudly, instead of surfacing later as an
-// empty-but-healthy cache.
+// OpenCache opens (creating if needed) a cache rooted at dir. An
+// unreadable or corrupt store root fails here, loudly, instead of
+// surfacing later as an empty-but-healthy cache.
 func OpenCache(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("sweep: empty cache directory")
@@ -63,27 +51,11 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
-	sweepLegacyTempFiles(dir)
 	store, err := resultstore.Open(dir, resultstore.Options{Version: cacheKeyVersion})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
 	return &Cache{store: store}, nil
-}
-
-// sweepLegacyTempFiles removes orphaned temp files of the legacy
-// one-file-per-point layout, best-effort: they sit in the two-hex-char
-// shard directories and can never become live entries.
-func sweepLegacyTempFiles(dir string) {
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error { //nolint:errcheck // best-effort sweep
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if legacyTempFile.MatchString(d.Name()) {
-			os.Remove(path) //nolint:errcheck
-		}
-		return nil
-	})
 }
 
 // Dir reports the cache's root directory.
@@ -98,7 +70,7 @@ func (c *Cache) Close() error { return c.store.Close() }
 
 // Get returns the cached result for a point, if present. A stale or
 // malformed entry (older format version, hash collision) is treated as
-// a miss, exactly as the legacy layout treated undecodable files.
+// a miss.
 func (c *Cache) Get(p Point) (harness.Result, bool) {
 	payload, ok, err := c.store.Get(p.Key())
 	if err != nil || !ok {

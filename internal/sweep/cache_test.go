@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -302,41 +301,6 @@ func TestCacheConcurrentPutGetEntries(t *testing.T) {
 	}
 	if n, err := c.Verify(); err != nil || n != writers*16 {
 		t.Errorf("Verify = %d, %v", n, err)
-	}
-}
-
-// TestOpenCacheSweepsLegacyTempFiles is the regression test for the
-// orphaned-temp-file leak: the legacy Put could die between CreateTemp
-// and Rename, stranding ".<key>.json.tmp*" files forever. OpenCache
-// must remove them.
-func TestOpenCacheSweepsLegacyTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	shard := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	key := "ab" + fmt.Sprintf("%062d", 7)
-	orphan := filepath.Join(shard, "."+key+".json.tmp123456")
-	if err := os.WriteFile(orphan, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A real legacy entry alongside must be left alone.
-	p := Point{App: "pi", Cluster: "sci", Protocol: "java_ic", Nodes: 1, ThreadsPerNode: 1, Repeats: 1}
-	if err := writeLegacyEntry(dir, p, cacheEntry{Version: cacheKeyVersion, Point: p, Result: fakeResult(p, 1)}); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphaned temp file survived OpenCache: stat err = %v", err)
-	}
-	legacy := filepath.Join(dir, p.Key()[:2], p.Key()+".json")
-	if _, err := os.Stat(legacy); err != nil {
-		t.Errorf("legacy entry removed by the sweep: %v", err)
 	}
 }
 

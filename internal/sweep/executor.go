@@ -317,9 +317,10 @@ func (x *Executor) RunPoints(points []Point) (*Outcome, error) {
 
 // mergeRepeats reduces a point's repeat runs to its result: the sole run
 // for a single measurement, or the median-by-time run of a repeated one.
-// Repeated measurements mirror harness.BuildFigureN and reject invalid
-// runs; a single measurement keeps an invalid result (with its Check
-// recorded) exactly like a direct harness.Run.
+// This is the repo's one median-of-repeats rule (Figure 4's TSP points
+// go through it). Repeated measurements reject invalid runs; a single
+// measurement keeps an invalid result (with its Check recorded) exactly
+// like a direct harness.Run.
 func mergeRepeats(reps []harness.JobResult) (harness.Result, error) {
 	results := make([]harness.Result, 0, len(reps))
 	for _, jr := range reps {

@@ -16,11 +16,16 @@
 //     reporting, and a content-addressed on-disk cache: re-running a
 //     sweep only executes new or changed points, and an interrupted
 //     sweep resumes where it stopped.
-//   - Aggregate computes speedup curves, protocol-crossover points and
-//     best-config-per-app summaries from the raw results.
+//   - Aggregate computes speedup curves, protocol-crossover points,
+//     java_pf-vs-java_ic improvements and best-config-per-app summaries
+//     from the raw results; Figures assembles them into the paper's
+//     plots.
+//   - Preset names the grids of the paper's evaluation (fig1..fig5,
+//     figures, the §3.3 ablations) as checked-in Specs.
 //
-// cmd/hyperion-sweep is the command-line front end; cmd/hyperion-bench's
-// grid modes run on the same executor.
+// The Executor is the only grid runner in the repo: cmd/hyperion-sweep
+// is its command-line front end, internal/service its HTTP one, and the
+// public hyperion.BuildFigureByID/BuildAllFigures run presets on it.
 package sweep
 
 import (
