@@ -18,8 +18,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/model"
 	"repro/internal/pagestats"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/version"
 
@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
-	cl, err := clusterByName(*clusterName)
+	cl, err := sweep.ClusterByName(*clusterName)
 	if err != nil {
 		return err
 	}
@@ -177,16 +177,4 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("validation failed: %s", res.Check.Summary)
 	}
 	return nil
-}
-
-func clusterByName(name string) (model.Cluster, error) {
-	switch strings.ToLower(name) {
-	case "myrinet", "myrinet200", "bip":
-		return model.Myrinet200(), nil
-	case "sci", "sci450", "sisci":
-		return model.SCI450(), nil
-	case "tcp", "ethernet":
-		return model.CommodityTCP(), nil
-	}
-	return model.Cluster{}, fmt.Errorf("unknown cluster %q (myrinet, sci, tcp)", name)
 }

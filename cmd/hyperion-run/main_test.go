@@ -34,6 +34,25 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunClusterAliases: -cluster takes every spelling hyperion-sweep
+// and the server take, the platforms' display names included.
+func TestRunClusterAliases(t *testing.T) {
+	for alias, platform := range map[string]string{
+		"200mhz/myrinet": "200MHz/Myrinet",
+		"450MHz/SCI":     "450MHz/SCI",
+		"450mhz/tcp":     "450MHz/TCP",
+		"sisci":          "450MHz/SCI",
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"-app", "pi", "-cluster", alias, "-nodes", "2"}, &out); err != nil {
+			t.Errorf("-cluster %s: %v", alias, err)
+		}
+		if want := "platform:   " + platform + ","; !strings.Contains(out.String(), want) {
+			t.Errorf("-cluster %s: output missing %q:\n%s", alias, want, out.String())
+		}
+	}
+}
+
 func TestRunTraceExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.trace.json")
 	var out bytes.Buffer

@@ -81,11 +81,13 @@ type (
 	Time = vtime.Time
 	// Duration is a span of virtual time.
 	Duration = vtime.Duration
-	// Stats is a snapshot of protocol event counters.
+	// Stats is the cluster-wide snapshot of the protocol event
+	// counters: RunStats' per-node counters summed over the nodes, plus
+	// the RPC and spawn counts.
 	Stats = stats.Snapshot
-	// RunStats is the engine's per-node counter report: faults, fetches,
-	// cache hits, flush traffic, monitor and barrier activity, mprotect
-	// calls — the "why" behind a run's virtual time.
+	// RunStats is the per-node counter report: faults, fetches, cache
+	// hits, flush traffic, monitor and barrier activity, mprotect calls
+	// — the "why" behind a run's virtual time.
 	RunStats = core.RunStats
 	// TraceBuffer is a bounded ring of protocol events recorded during a
 	// run; render it with WritePerfetto for ui.perfetto.dev or
@@ -216,8 +218,8 @@ func (s *System) NewBarrier(home, parties int) *Barrier { return s.heap.NewBarri
 // page faults, mprotect calls, fetches, diff traffic, ...).
 func (s *System) Stats() Stats { return s.cl.Counters().Snapshot() }
 
-// RunStats reports the engine's per-node counter breakdown — the same
-// numbers hyperion-run -counters prints and sweep results carry.
+// RunStats reports the per-node breakdown of the counters Stats sums —
+// the same numbers hyperion-run -counters prints and sweep results carry.
 func (s *System) RunStats() RunStats { return s.eng.RunStats() }
 
 // EnableTracing attaches a fresh protocol-event ring of the given

@@ -1,6 +1,6 @@
 // Package atomicfield detects struct fields that are accessed through
 // sync/atomic in one place and with plain loads or stores elsewhere in
-// the same package. A field like core.NodeStats.Faults is all-atomic
+// the same package. A field like stats.NodeStats.Faults is all-atomic
 // by convention only — the type system does not stop a new counter
 // consumer from writing `s.Faults++`, which is a data race against the
 // engine's atomic.AddInt64 and, under the race detector or a weakly

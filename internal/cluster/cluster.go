@@ -94,6 +94,9 @@ func New(cfg model.Cluster, n int, counters *stats.Counters) (*Cluster, error) {
 	if counters == nil {
 		counters = &stats.Counters{}
 	}
+	if err := counters.SetNodes(n); err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:      cfg,
 		net:      netsim.NewNetwork(n, cfg.Net),
@@ -113,7 +116,8 @@ func (c *Cluster) Config() model.Cluster { return c.cfg }
 // Network exposes the interconnect, mainly for statistics.
 func (c *Cluster) Network() *netsim.Network { return c.net }
 
-// Counters returns the cluster-wide event counters.
+// Counters returns the run's counter store: per-node event counters,
+// sized by New, plus the cluster-level RPC and spawn counts.
 func (c *Cluster) Counters() *stats.Counters { return c.counters }
 
 // Size reports the number of nodes.

@@ -58,6 +58,10 @@ type Observation struct {
 	// bit-identical run to run, or every counter surface (CSV, cache,
 	// /v1/results) is noise.
 	Stats core.RunStats
+	// Events is the cluster-wide read-out of the same counter store
+	// (the public Stats API), and Messages the network's message count.
+	Events   stats.Snapshot
+	Messages int64
 	// PageStats is the per-page sharing report. Like Stats it measures
 	// cost and is excluded from Diff, with the same intra-protocol
 	// contract: page-event counts must reproduce bit-identically run to
@@ -107,6 +111,7 @@ func Execute(w Workload, protocol string) (Observation, error) {
 	rt := threads.NewRuntime(eng, threads.RoundRobin{}, threads.DefaultCosts())
 	h := jmm.NewHeap(eng)
 	check, reads := w.Run(rt, h, w.Workers)
+	msgs, _ := cl.Network().Stats()
 	return Observation{
 		Protocol:  protocol,
 		Valid:     check.Valid,
@@ -114,6 +119,8 @@ func Execute(w Workload, protocol string) (Observation, error) {
 		Heap:      eng.HomeSnapshot(),
 		Reads:     reads,
 		Stats:     eng.RunStats(),
+		Events:    cl.Counters().Snapshot(),
+		Messages:  msgs,
 		PageStats: prof.Report(),
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pagestats"
+	"repro/internal/stats"
 )
 
 // Every registered protocol must be observationally equivalent on every
@@ -130,6 +131,71 @@ func TestRunStatsAreReproducible(t *testing.T) {
 				// A run that did real cross-node work must show it.
 				if a.Stats.Total.Fetches == 0 {
 					t.Errorf("%s: zero page fetches recorded for a distributed workload", p)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotIsSumOfNodes holds the two read-outs of the counter store
+// against each other for every workload under every protocol: each
+// cluster-wide Stats field is the sum of one per-node counter (the
+// pairing is spelled out here, independently of the stats package's
+// table), and the two counts that belong to no node agree with what
+// they count — one spawn per worker, and two network messages (request
+// and reply) per RPC, every RPC being a page fetch, a diff flush or a
+// volatile access.
+func TestSnapshotIsSumOfNodes(t *testing.T) {
+	for _, w := range Workloads() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, p := range core.ProtocolNames() {
+				o, err := Execute(w, p)
+				if err != nil {
+					t.Fatalf("%s: %v", p, err)
+				}
+				var sum core.NodeStats
+				for _, ns := range o.Stats.PerNode {
+					sum.Faults += ns.Faults
+					sum.Fetches += ns.Fetches
+					sum.CacheHits += ns.CacheHits
+					sum.InvalidatedPages += ns.InvalidatedPages
+					sum.FlushMessages += ns.FlushMessages
+					sum.FlushBytes += ns.FlushBytes
+					sum.BatchedFlushes += ns.BatchedFlushes
+					sum.MonitorAcquires += ns.MonitorAcquires
+					sum.RemoteAcquires += ns.RemoteAcquires
+					sum.BarrierWaitCycles += ns.BarrierWaitCycles
+					sum.Migrations += ns.Migrations
+					sum.LocalityChecks += ns.LocalityChecks
+					sum.MprotectCalls += ns.MprotectCalls
+				}
+				if o.Stats.Total != sum {
+					t.Errorf("%s: RunStats.Total %+v is not the per-node sum %+v", p, o.Stats.Total, sum)
+				}
+				ev := o.Events
+				want := stats.Snapshot{
+					LocalityChecks:  sum.LocalityChecks,
+					PageFaults:      sum.Faults,
+					MprotectCalls:   sum.MprotectCalls,
+					PageFetches:     sum.Fetches,
+					CacheHits:       sum.CacheHits,
+					Invalidations:   sum.InvalidatedPages,
+					DiffMessages:    sum.FlushMessages,
+					DiffBytes:       sum.FlushBytes,
+					MonitorAcquires: sum.MonitorAcquires,
+					RemoteAcquires:  sum.RemoteAcquires,
+					Migrations:      sum.Migrations,
+					RPCs:            ev.RPCs,
+					Spawns:          int64(w.Workers),
+				}
+				if ev != want {
+					t.Errorf("%s: Stats %+v, want the per-node sums and one spawn per worker %+v", p, ev, want)
+				}
+				if ev.RPCs < sum.Fetches+sum.FlushMessages || o.Messages < 2*ev.RPCs {
+					t.Errorf("%s: %d rpcs for %d fetches + %d flushes over %d network messages",
+						p, ev.RPCs, sum.Fetches, sum.FlushMessages, o.Messages)
 				}
 			}
 		})

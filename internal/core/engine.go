@@ -61,11 +61,9 @@ type Engine struct {
 	costs model.DSMCosts
 	proto Protocol
 	nodes []*nodeMem
-	cnt   *stats.Counters
-
-	// runStats is the per-node counter array behind Engine.RunStats,
-	// pre-allocated so recording is one atomic add, no allocations.
-	runStats []NodeStats
+	// cnt is the cluster's counter store; an event is one atomic add
+	// into the acting node's pre-allocated NodeStats, no allocations.
+	cnt *stats.Counters
 
 	// ctxSeq hands out per-run thread track ids (Ctx.TID).
 	ctxSeq atomic.Int64
@@ -125,14 +123,13 @@ func (e *Engine) traceEvent(at vtime.Time, node int, tid int64, kind trace.Kind,
 func NewEngine(cl *cluster.Cluster, costs model.DSMCosts, proto Protocol) *Engine {
 	cfg := cl.Config()
 	e := &Engine{
-		cl:       cl,
-		space:    pages.NewSpace(cl.Size(), cfg.PageSize),
-		mach:     cfg.Machine,
-		costs:    costs,
-		proto:    proto,
-		nodes:    make([]*nodeMem, cl.Size()),
-		cnt:      cl.Counters(),
-		runStats: make([]NodeStats, cl.Size()),
+		cl:    cl,
+		space: pages.NewSpace(cl.Size(), cfg.PageSize),
+		mach:  cfg.Machine,
+		costs: costs,
+		proto: proto,
+		nodes: make([]*nodeMem, cl.Size()),
+		cnt:   cl.Counters(),
 	}
 	e.alloc = pages.NewAllocator(e.space)
 	homeOf := e.space.Home
@@ -242,8 +239,7 @@ func (e *Engine) fetch(ctx *Ctx, nm *nodeMem, p pages.PageID, f *pages.Frame, ac
 	} else {
 		f.Adopt(img, access)
 	}
-	e.cnt.AddPageFetches(1)
-	atomic.AddInt64(&e.runStats[ctx.node].Fetches, 1)
+	atomic.AddInt64(&e.cnt.Node(ctx.node).Fetches, 1)
 	if e.tracer != nil {
 		e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFetch, int64(p), int64(nm.cache.Len()))
 	}
@@ -288,8 +284,7 @@ func (e *Engine) recordAndMaybeEvict(ctx *Ctx, nm *nodeMem, p pages.PageID, capa
 	}
 	e.UpdateMainMemory(ctx)
 	if nm.cache.Drop(victim) {
-		e.cnt.AddInvalidations(1)
-		atomic.AddInt64(&e.runStats[ctx.node].InvalidatedPages, 1)
+		atomic.AddInt64(&e.cnt.Node(ctx.node).InvalidatedPages, 1)
 		if e.prof != nil {
 			e.prof.NoteInvalidate(ctx.node, victim)
 		}
@@ -317,8 +312,7 @@ func (e *Engine) InvalidateCache(ctx *Ctx) int {
 		n = nm.cache.DropAll(nil)
 	}
 	ctx.invalidateFastPath()
-	e.cnt.AddInvalidations(int64(n))
-	atomic.AddInt64(&e.runStats[ctx.node].InvalidatedPages, int64(n))
+	atomic.AddInt64(&e.cnt.Node(ctx.node).InvalidatedPages, int64(n))
 	e.proto.OnInvalidate(ctx, n)
 	e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvInvalidate, int64(n), 0)
 	return n
@@ -360,7 +354,7 @@ func (e *Engine) flushHomes(ctx *Ctx, batched bool) {
 	if batched {
 		perByte = e.costs.BatchPerByteCycles
 	}
-	ns := &e.runStats[ctx.node]
+	ns := e.cnt.Node(ctx.node)
 	for _, d := range ctx.diffs {
 		if batched {
 			ctx.clock.Advance(e.batchSetup)
@@ -369,7 +363,6 @@ func (e *Engine) flushHomes(ctx *Ctx, batched bool) {
 		ctx.clock.Advance(vtime.Duration(float64(len(d.msg)) * perByte * e.cycle))
 		e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFlush, int64(len(d.msg)), int64(d.home))
 		e.cl.Invoke(ctx.clock, ctx.node, d.home, svcApplyDiff, d.msg)
-		e.cnt.AddDiffMessage(int64(len(d.msg)))
 		atomic.AddInt64(&ns.FlushMessages, 1)
 		atomic.AddInt64(&ns.FlushBytes, int64(len(d.msg)))
 	}
@@ -441,45 +434,6 @@ func (e *Engine) handleApplyDiff(call *cluster.Call) []byte {
 	}
 	e.traceEvent(call.Clock.Now(), call.Node.ID(), trace.ServiceTID, trace.EvApply, int64(len(call.Arg)), int64(call.From))
 	return nil
-}
-
-// pageFaultAccess is the shared slow-path access of the page-fault
-// protocols (java_pf, java_up, java_hlrc): mapped pages resolve for
-// free; a miss traps (fault cost), fetches the page from home, and pays
-// one mprotect call to map it READ/WRITE.
-//
-//hyperion:hotpath
-func (e *Engine) pageFaultAccess(ctx *Ctx, pg pages.PageID, isHome bool) *pages.Frame {
-	if isHome {
-		return e.homeFrame(pg)
-	}
-	if f, _ := e.nodes[ctx.node].cache.Lookup(pg); f != nil && f.Access() == pages.ReadWrite {
-		e.cnt.AddCacheHits(1)
-		atomic.AddInt64(&e.runStats[ctx.node].CacheHits, 1)
-		return f
-	}
-	ctx.clock.Advance(e.mach.PageFault)
-	e.cnt.AddPageFaults(1)
-	atomic.AddInt64(&e.runStats[ctx.node].Faults, 1)
-	e.traceEvent(ctx.clock.Now(), ctx.node, ctx.tid, trace.EvFault, int64(pg), 0)
-	if e.prof != nil {
-		e.prof.NoteFault(ctx.node, pg)
-	}
-	f := e.LoadIntoCache(ctx, pg, pages.ReadWrite)
-	e.chargeMprotect(ctx, 1)
-	return f
-}
-
-// chargeMprotect charges n mprotect calls to ctx: mapping a fetched page
-// READ/WRITE, or re-protecting the n pages an invalidation dropped — the
-// overhead §4.3 observes growing with the node count for Barnes.
-func (e *Engine) chargeMprotect(ctx *Ctx, n int) {
-	if n == 0 {
-		return
-	}
-	ctx.clock.Advance(vtime.Duration(n) * e.mach.Mprotect)
-	e.cnt.AddMprotectCalls(int64(n))
-	atomic.AddInt64(&e.runStats[ctx.node].MprotectCalls, int64(n))
 }
 
 // HomeSnapshot returns a copy of every reference (home) page image in

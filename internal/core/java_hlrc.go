@@ -1,10 +1,5 @@
 package core
 
-import (
-	"repro/internal/pages"
-	"repro/internal/vtime"
-)
-
 // JavaHLRC is a home-based lazy-release-consistency protocol, the
 // fourth point on the paper's protocol axis and the design the authors
 // explicitly contrast against (TreadMarks-style diffing, §5): instead of
@@ -39,23 +34,10 @@ import (
 // still flushes a non-empty log before invalidating (the home-based
 // stand-in for write notices): a node must never lose sight of its own
 // not-yet-released writes when its cache drops.
-type JavaHLRC struct {
-	eng *Engine
-}
+type JavaHLRC struct{ pageFault }
 
 // Name implements Protocol.
 func (p *JavaHLRC) Name() string { return "java_hlrc" }
-
-// Bind implements Protocol.
-func (p *JavaHLRC) Bind(e *Engine) { p.eng = e }
-
-// FastCost implements Protocol: like java_pf, mapped pages are free.
-func (p *JavaHLRC) FastCost() vtime.Duration { return 0 }
-
-// Access implements Protocol: the shared page-fault slow path.
-func (p *JavaHLRC) Access(ctx *Ctx, pg pages.PageID, isHome bool) *pages.Frame {
-	return p.eng.pageFaultAccess(ctx, pg, isHome)
-}
 
 // Acquire implements Protocol: flush any not-yet-released writes as one
 // batched diff (so the node's own pending writes survive the
@@ -74,10 +56,3 @@ func (p *JavaHLRC) Release(ctx *Ctx) { p.eng.FlushBatched(ctx) }
 // release boundary, so lazily accumulated diffs are flushed before the
 // store reaches its home.
 func (p *JavaHLRC) OnVolatileWrite(ctx *Ctx) { p.eng.FlushBatched(ctx) }
-
-// OnInvalidate implements Protocol: like java_pf, re-protecting the n
-// dropped pages costs one mprotect call per page.
-func (p *JavaHLRC) OnInvalidate(ctx *Ctx, n int) { p.eng.chargeMprotect(ctx, n) }
-
-// OnCtxClose implements Protocol: no per-access bookkeeping.
-func (p *JavaHLRC) OnCtxClose(ctx *Ctx) {}

@@ -49,8 +49,7 @@ func (p *JavaIC) Access(ctx *Ctx, pg pages.PageID, isHome bool) *pages.Frame {
 	}
 	ctx.clock.Advance(p.lookupCost)
 	if f, _ := p.eng.nodes[ctx.node].cache.Lookup(pg); f != nil {
-		p.eng.cnt.AddCacheHits(1)
-		atomic.AddInt64(&p.eng.runStats[ctx.node].CacheHits, 1)
+		atomic.AddInt64(&p.eng.cnt.Node(ctx.node).CacheHits, 1)
 		return f
 	}
 	// Miss: bring the page in. Under java_ic the copy needs no
@@ -75,6 +74,5 @@ func (p *JavaIC) OnInvalidate(ctx *Ctx, n int) {
 // OnCtxClose implements Protocol: every access the context performed ran
 // one locality check.
 func (p *JavaIC) OnCtxClose(ctx *Ctx) {
-	p.eng.cnt.AddLocalityChecks(ctx.accesses)
-	atomic.AddInt64(&p.eng.runStats[ctx.node].LocalityChecks, ctx.accesses)
+	atomic.AddInt64(&p.eng.cnt.Node(ctx.node).LocalityChecks, ctx.accesses)
 }

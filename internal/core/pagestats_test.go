@@ -108,9 +108,9 @@ func TestDisabledPageProfilerAllocatesNothing(t *testing.T) {
 	remote.GetI64(addr) // fault once so later accesses are cache hits
 	pg := e.Space().PageOf(addr)
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.pageFaultAccess(remote, pg, false) // cache-hit path
-		e.pageFaultAccess(home, pg, true)    // home fast path
-		e.flushHomes(remote, false)          // empty write log
+		e.proto.Access(remote, pg, false) // cache-hit path
+		e.proto.Access(home, pg, true)    // home fast path
+		e.flushHomes(remote, false)       // empty write log
 	}); avg != 0 {
 		t.Fatalf("disabled-profiler hooks allocate %.1f per run", avg)
 	}

@@ -167,14 +167,3 @@ func runJob(j Job) (jr JobResult) {
 	jr.Result, jr.Err = Run(j.MakeApp(), j.Config)
 	return jr
 }
-
-// FirstError returns the first non-nil error in results, annotated with
-// its job index, or nil if every job succeeded.
-func FirstError(results []JobResult) error {
-	for i, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("job %d: %w", i, r.Err)
-		}
-	}
-	return nil
-}

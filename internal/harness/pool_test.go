@@ -38,10 +38,10 @@ func poolJobs() []Job {
 func TestRunJobsMatchesSequential(t *testing.T) {
 	jobs := poolJobs()
 	concurrent := RunJobsHooked(jobs, 4, PoolHooks{})
-	if err := FirstError(concurrent); err != nil {
-		t.Fatal(err)
-	}
 	for i, j := range jobs {
+		if concurrent[i].Err != nil {
+			t.Fatalf("job %d: %v", i, concurrent[i].Err)
+		}
 		want, err := Run(j.MakeApp(), j.Config)
 		if err != nil {
 			t.Fatal(err)
@@ -103,9 +103,6 @@ func TestRunJobsPanicIsolation(t *testing.T) {
 		if !results[i].Result.Check.Valid {
 			t.Errorf("healthy job %d invalid: %+v", i, results[i].Result.Check)
 		}
-	}
-	if err := FirstError(results); err == nil || !strings.Contains(err.Error(), "job 1") {
-		t.Errorf("FirstError = %v, want job 1 panic", err)
 	}
 }
 
@@ -205,10 +202,10 @@ func TestRunJobsHookedStartBeforeDone(t *testing.T) {
 			}
 		},
 	})
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
 	for i, jr := range results {
+		if jr.Err != nil {
+			t.Fatalf("job %d: %v", i, jr.Err)
+		}
 		if jr.Elapsed <= 0 {
 			t.Errorf("job %d: elapsed not recorded", i)
 		}

@@ -53,7 +53,6 @@ func (m *Monitor) Enter(t *threads.Thread) {
 	net := eng.Cluster().Network()
 	mach := eng.Machine()
 	remote := t.Node() != m.home
-	eng.Cluster().Counters().AddMonitorAcquire(remote)
 	eng.NoteMonitorAcquire(t.Node(), remote)
 	if tr := eng.Tracer(); tr != nil {
 		tr.Record(trace.Event{At: t.Now(), Node: t.Node(), TID: t.Ctx().TID(), Kind: trace.EvMonitorEnter, Arg: int64(m.home)})

@@ -328,18 +328,9 @@ const CSVHeader = "app,cluster,nodes,tpn,protocol,label,seconds,valid,cached,mes
 // outcome. Counter columns are appended after it.
 const csvBase = "app,cluster,nodes,tpn,protocol,label,seconds,valid,cached,messages,bytes"
 
-// csvAliases maps the legacy short column names (the pre-RunStats CSV
-// columns) to their engine counter. Both spellings are accepted by
-// ParseCSVColumns; the header echoes whichever the caller used.
-var csvAliases = map[string]string{
-	"checks":    "locality_checks",
-	"faults":    "faults",
-	"mprotects": "mprotect_calls",
-	"fetches":   "fetches",
-}
-
 // DefaultCSVColumns is the counter column set of CSVHeader, in order —
-// what a nil column selection renders.
+// what a nil column selection renders: the four legacy short column
+// names, which core.NodeStats.Get resolves beside the canonical ones.
 func DefaultCSVColumns() []string {
 	return []string{"checks", "faults", "mprotects", "fetches"}
 }
@@ -348,7 +339,8 @@ func DefaultCSVColumns() []string {
 // default column set), "all" selects every RunStats counter, and
 // anything else is a comma-separated list of counter names
 // (core.NodeStatNames) or legacy aliases (checks, faults, mprotects,
-// fetches), validated loudly.
+// fetches), validated loudly. The header echoes whichever spelling the
+// caller used.
 func ParseCSVColumns(list string) ([]string, error) {
 	switch strings.TrimSpace(list) {
 	case "":
@@ -362,13 +354,9 @@ func ParseCSVColumns(list string) ([]string, error) {
 		if c == "" {
 			continue
 		}
-		name := c
-		if a, ok := csvAliases[c]; ok {
-			name = a
-		}
-		if _, ok := (core.NodeStats{}).Get(name); !ok {
-			return nil, fmt.Errorf("sweep: unknown CSV column %q (have %s, plus aliases checks, faults, mprotects, fetches)",
-				c, strings.Join(core.NodeStatNames(), ", "))
+		if _, ok := (core.NodeStats{}).Get(c); !ok {
+			return nil, fmt.Errorf("sweep: unknown CSV column %q (have %s, plus aliases %s)",
+				c, strings.Join(core.NodeStatNames(), ", "), strings.Join(DefaultCSVColumns(), ", "))
 		}
 		out = append(out, c)
 	}
@@ -404,21 +392,10 @@ func CSVRowFor(pr PointResult, cols []string) string {
 		pr.Point.Protocol, pr.Point.Override.Label, r.Seconds(), r.Check.Valid, pr.Cached,
 		r.Messages, r.Bytes)
 	for _, c := range cols {
-		name := c
-		if a, ok := csvAliases[c]; ok {
-			name = a
-		}
-		v, _ := r.RunStats.Total.Get(name)
+		v, _ := r.RunStats.Total.Get(c)
 		fmt.Fprintf(&b, ",%d", v)
 	}
 	return b.String()
-}
-
-// CSVRow renders one successful point result as a CSVHeader row (no
-// trailing newline). The streaming writers in cmd/hyperion-sweep emit
-// rows one at a time through this as points complete.
-func CSVRow(pr PointResult) string {
-	return CSVRowFor(pr, nil)
 }
 
 // WriteCSV renders results (in their given order) as CSV with the

@@ -150,8 +150,7 @@ func (o Override) Apply(cl model.Cluster, costs model.DSMCosts) (model.Cluster, 
 
 // PaperGrid is the full grid behind the paper's evaluation: five apps,
 // two clusters, two protocols, every node count each platform supports.
-// Any registered protocol is accepted on the Protocols axis; see
-// ExtendedGrid for the grid over all of them.
+// Any registered protocol is accepted on the Protocols axis.
 func PaperGrid() Spec {
 	return Spec{
 		Name:      "paper-grid",
@@ -159,15 +158,6 @@ func PaperGrid() Spec {
 		Clusters:  []string{"myrinet", "sci"},
 		Protocols: []string{"java_ic", "java_pf"},
 	}
-}
-
-// ExtendedGrid is PaperGrid widened to every registered protocol —
-// the paper's two plus the java_up and java_hlrc extensions.
-func ExtendedGrid() Spec {
-	s := PaperGrid()
-	s.Name = "extended-grid"
-	s.Protocols = core.ProtocolNames()
-	return s
 }
 
 // LoadSpec reads a JSON Spec from a file. Unknown fields are rejected so

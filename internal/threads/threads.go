@@ -31,13 +31,6 @@ type RoundRobin struct{}
 // Place implements Balancer.
 func (RoundRobin) Place(i, clusterSize int) int { return i % clusterSize }
 
-// Packed places threads on node 0 until told otherwise — useful as a
-// degenerate baseline in load-balancing experiments.
-type Packed struct{}
-
-// Place implements Balancer.
-func (Packed) Place(i, clusterSize int) int { return 0 }
-
 // Costs are the thread-management cost parameters.
 type Costs struct {
 	// SpawnLocalCycles is the cost of creating a thread on the local
@@ -254,7 +247,6 @@ func (t *Thread) Migrate(node int) {
 	t.ctx.MoveTo(node)
 	t.Clock().AdvanceTo(delivered)
 	t.migrations.Add(1)
-	eng.Cluster().Counters().AddMigrations(1)
 	eng.NoteMigration(origin)
 }
 

@@ -32,10 +32,6 @@ func TestRoundRobinPlacement(t *testing.T) {
 			t.Fatalf("Place(%d,4) = %d", i, got)
 		}
 	}
-	var pk Packed
-	if pk.Place(7, 4) != 0 {
-		t.Fatal("Packed should always choose node 0")
-	}
 }
 
 func TestMainRunsOnNodeZero(t *testing.T) {
