@@ -235,7 +235,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	var writeErr error
-	x.OnPoint = func(done, total int, pr sweep.PointResult) {
+	x.OnPoint = func(_, done, total int, pr sweep.PointResult) {
 		if writeErr == nil {
 			writeErr = sw.point(pr)
 		}

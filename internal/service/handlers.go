@@ -257,8 +257,8 @@ func (s *Server) handlePageStats(w http.ResponseWriter, r *http.Request) {
 
 // handleResults queries the content-addressed result cache. Filters
 // (all optional, ANDed): app, cluster, protocol, nodes, tpn,
-// paperscale. The filter runs on the store's in-memory index; only the
-// returned page's payloads are read from disk. Pagination: ?limit=N
+// paperscale. The filter is a walk over the cache's point index; only
+// the returned page's payloads are read from disk. Pagination: ?limit=N
 // caps the returned page (default: everything), ?offset=M skips the
 // first M matches; "count" in the response is always the total number
 // of matches, so a client pages with offset += limit until offset >=

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/harness"
@@ -273,29 +271,36 @@ func TestResultsQueryPushdownAtScale(t *testing.T) {
 	}
 }
 
-// BenchmarkResultsQuery measures a filtered, paginated /v1/results
-// page against a 10k-point store. No committed baseline gates it yet
-// (CI only smoke-runs it); ROADMAP item 2 asks for BENCH_service.json.
-func BenchmarkResultsQuery(b *testing.B) {
-	cache := seedCache(b, filepath.Join(b.TempDir(), "cache"), 10_000)
-	s, err := New(Config{Workers: 1, NewApp: testApps, Cache: cache})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	h := s.Handler()
+// TestResultsStreamReadsEachRowOnce: a ?stream=sse selection of 1,000
+// rows, delivered in resultsChunk-sized queries, reads each selected
+// payload from the store exactly once and none of the other 4,000.
+func TestResultsStreamReadsEachRowOnce(t *testing.T) {
+	const n = 5_000
+	cache := seedCache(t, filepath.Join(t.TempDir(), "cache"), n)
+	s := newServer(t, Config{Workers: 1, NewApp: testApps, Cache: cache})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("GET", "/v1/results?app=jacobi&nodes=7&limit=20", nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
+	before := cache.Store().ReadCounters()
+	resp, err := http.Get(ts.URL + "/v1/results?stream=sse&app=jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Store().ReadCounters()
+
+	const want = n / 5 // seedApps has five apps
+	if got := strings.Count(string(body), "event: result\n"); got != want {
+		t.Fatalf("streamed %d result events, want %d", got, want)
+	}
+	if done := fmt.Sprintf("event: done\ndata: {\"count\": %d, \"streamed\": %d}\n\n", want, want); !strings.HasSuffix(string(body), done) {
+		t.Errorf("stream does not end with %q", done)
+	}
+	if got := after.RecordsRead - before.RecordsRead; got != want {
+		t.Errorf("stream read %d payloads from the store, want %d (each selected row once)", got, want)
 	}
 }

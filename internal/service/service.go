@@ -272,18 +272,22 @@ func (s *Server) runJob(j *Job) {
 		idx int
 		f   *flight
 	}
-	var leadIdx []int
+	// One key derivation per point per job: the flight table and the
+	// executor callbacks below both read keys[i].
+	keys := make([]string, len(j.points))
+	var leadIdx []int // job index of each point this job leads
 	var followers []follower
 	leads := make(map[string]*flight)
 	s.flightMu.Lock()
 	for i, p := range j.points {
 		key := p.Key()
+		keys[i] = key
 		if f, ok := s.flights[key]; ok {
 			followers = append(followers, follower{i, f})
-		} else if _, ours := leads[key]; ours {
+		} else if f, ours := leads[key]; ours {
 			// Duplicate point within this very job: the first
 			// occurrence leads, this one follows it.
-			followers = append(followers, follower{i, leads[key]})
+			followers = append(followers, follower{i, f})
 		} else {
 			f := &flight{done: make(chan struct{})}
 			s.flights[key] = f
@@ -319,15 +323,14 @@ func (s *Server) runJob(j *Job) {
 
 	if len(leadIdx) > 0 {
 		leadPts := make([]sweep.Point, len(leadIdx))
-		idxByKey := make(map[string]int, len(leadIdx))
 		for k, i := range leadIdx {
 			leadPts[k] = j.points[i]
-			idxByKey[j.points[i].Key()] = i
 		}
-		// The executor serializes OnStart and OnPoint, so this map needs
-		// no lock. It keeps the running-points gauge exact: only points
-		// that actually started decrement it, however they end.
-		startedKeys := make(map[string]bool, len(leadIdx))
+		// The executor serializes OnStart and OnPoint and hands both the
+		// point's index k in leadPts, so started needs no lock. It keeps
+		// the running-points gauge exact: only points that actually
+		// started decrement it, however they end.
+		started := make([]bool, len(leadIdx))
 		traceCap := 0
 		if j.spec.Trace {
 			traceCap = s.cfg.TraceCapacity
@@ -342,23 +345,21 @@ func (s *Server) runJob(j *Job) {
 			Cancel:        s.stop,
 			TraceCapacity: traceCap,
 			PageStats:     j.spec.PageStats,
-			OnStart: func(p sweep.Point) {
-				startedKeys[p.Key()] = true
+			OnStart: func(k int, p sweep.Point) {
+				started[k] = true
 				s.metrics.pointsRunning.Add(1)
 				if s.log.Enabled(context.Background(), slog.LevelDebug) {
 					j.log.Debug("point started",
-						"index", idxByKey[p.Key()], "point", p.String())
+						"index", leadIdx[k], "point", p.String())
 				}
 			},
-			OnPoint: func(_, _ int, pr sweep.PointResult) {
-				key := pr.Point.Key()
-				i := idxByKey[key]
-				if f := leads[key]; f != nil {
-					s.unregisterFlight(key, f)
-					f.resolve(pr)
-				}
-				if startedKeys[key] {
-					delete(startedKeys, key)
+			OnPoint: func(k, _, _ int, pr sweep.PointResult) {
+				i := leadIdx[k]
+				key := keys[i]
+				f := leads[key]
+				s.unregisterFlight(key, f)
+				f.resolve(pr)
+				if started[k] {
 					s.metrics.pointsRunning.Add(-1)
 				}
 				s.recordPoint(j, i, pr, false)

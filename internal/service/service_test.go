@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,6 +386,51 @@ func TestServerCoalescesAcrossJobs(t *testing.T) {
 	}
 	if dedup := vB.Counts.Coalesced + vB.Counts.Cached + vA.Counts.Coalesced + vA.Counts.Cached; dedup != 1 {
 		t.Fatalf("dedup count = %d (A %+v, B %+v)", dedup, vA.Counts, vB.Counts)
+	}
+}
+
+// TestSubmitAcceptsBeforeFirstPointResolves: POST /v1/sweeps answers
+// 202 once the job is queued and never waits on its runner. NewApp lets
+// Submit's own validation call (the first) through and holds every
+// later one — the runner's — on a channel, so while the 202 is on its
+// way back no point of the job can have resolved. This pins ROADMAP
+// 2(c): the benchmark's service.post_accept_ms tracks the whole cached
+// job only because its layers pass runs handler and runner on one P
+// (GOMAXPROCS=1), not because admission waits on the job.
+func TestSubmitAcceptsBeforeFirstPointResolves(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int32
+	s := newServer(t, Config{
+		Workers: 1,
+		NewApp: func(name string, paperScale bool) (apps.App, error) {
+			if calls.Add(1) > 1 {
+				<-release
+			}
+			return testApps(name, paperScale)
+		},
+	})
+	open := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(open) // runs before newServer's drain, which needs the runner back
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	client := http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"apps":["jacobi"],"clusters":["sci"],"protocols":["java_pf"],"nodes":[1,2]}`))
+	if err != nil {
+		t.Fatalf("POST did not return while the runner was held: %v", err)
+	}
+	var v View
+	decodeJSON(t, resp, &v)
+	if resp.StatusCode != http.StatusAccepted || v.Total != 2 || v.Counts.Done != 0 {
+		t.Fatalf("POST: status %d, view %+v; want 202, 2 points, none done", resp.StatusCode, v)
+	}
+	if v = getStatus(t, ts.URL, v.ID); v.Counts.Done != 0 || v.State.Terminal() {
+		t.Fatalf("job resolved points with its runner held in NewApp: %+v", v)
+	}
+	open()
+	if v = waitTerminal(t, ts.URL, v.ID); v.State != StateDone || v.Counts.Executed != 2 {
+		t.Fatalf("after release: %+v", v)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/resultstore"
@@ -21,9 +22,17 @@ import (
 // Storage is a packed, indexed, append-only resultstore.Store: a
 // handful of large segment files instead of one JSON file per point,
 // so the cache survives millions of points where a directory tree
-// falls over on inodes and scan latency. The index (point identity
-// included) lives in memory, which is what lets Query answer filtered,
-// paginated lookups without reading unmatched records from disk.
+// falls over on inodes and scan latency. The store keeps every record's
+// key and encoded point (its meta) in memory, so no lookup reads an
+// unmatched record from disk.
+//
+// Query additionally keeps a point index: every record's decoded Point
+// and override fingerprint, in the grid's column order. It is built
+// from the store's metas by the first Query — a process that never
+// queries (a CLI sweep) pays nothing for it at OpenCache, Put or Get —
+// and kept up to date by Put from then on. Its cost is memory: one
+// decoded Point plus fingerprint per record (about 250 bytes), for as
+// long as the cache stays open.
 //
 // A Cache is safe for concurrent use within a process. Distinct
 // processes may share a directory — each appends to its own segment —
@@ -31,6 +40,22 @@ import (
 // one point computed twice, never a corrupt entry.
 type Cache struct {
 	store *resultstore.Store
+
+	// mu makes Put's exists-check, store append and index append one
+	// step, and orders them against Query's build and merge.
+	mu      sync.RWMutex
+	indexed bool       // guarded by mu; the first Query has built rows
+	rows    []indexRow // guarded by mu; in rowLess order
+	tail    []indexRow // guarded by mu; keys Put since the last Query, unordered
+}
+
+// indexRow is one record in the point index. Label, Repeats and the
+// override's fields ride along unused: order and filter read the axes
+// and fp only, and a page's rows are re-read from the store by key.
+type indexRow struct {
+	key   string
+	point Point
+	fp    string // point.Override.Fingerprint(), computed once
 }
 
 // cacheEntry is the serialized form of one cached point — the record
@@ -62,7 +87,10 @@ func OpenCache(dir string) (*Cache, error) {
 func (c *Cache) Dir() string { return c.store.Dir() }
 
 // Store exposes the packed store under the cache, for integrity
-// tooling (hyperion-cachectl) and read-counter assertions.
+// tooling (hyperion-cachectl) and read-counter assertions. Cache.Put is
+// the only supported writer once a cache is open: a record appended
+// through Store().Put after the first Query never reaches the point
+// index, so Query would not list it.
 func (c *Cache) Store() *resultstore.Store { return c.store }
 
 // Close releases the cache's file handles.
@@ -101,8 +129,22 @@ func (c *Cache) Put(p Point, r harness.Result) error {
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
-	if err := c.store.Put(p.Key(), meta, payload); err != nil {
+	key := p.Key()
+	// One step under the lock, so two concurrent Puts of a new point
+	// leave one index row. A superseding Put leaves the index as it is:
+	// the key's order and filter axes cannot have changed.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	newRow := false
+	if c.indexed {
+		_, known := c.store.Meta(key)
+		newRow = !known
+	}
+	if err := c.store.Put(key, meta, payload); err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
+	}
+	if newRow {
+		c.tail = append(c.tail, indexRow{key, p, p.Override.Fingerprint()})
 	}
 	return nil
 }
@@ -152,47 +194,23 @@ func (f Filter) matches(p *Point) bool {
 // Query answers a filtered, paginated lookup over the cache: total is
 // the number of entries matching the filter, page holds the matches in
 // the grid's natural column order from offset, at most limit long
-// (limit < 0 means no bound). Filtering and ordering run entirely on
-// the in-memory index — only the returned page's payloads are read
-// from disk, which is what keeps a narrow query over a huge store
-// cheap (assert with Store().ReadCounters). This is the engine behind
-// the experiment server's GET /v1/results.
+// (limit < 0 means no bound). Filtering, counting and ordering are one
+// walk over the point index, which is already in page order; only the
+// returned page's payloads are read from disk and decoded, which is
+// what keeps a narrow query over a huge store cheap (assert with
+// Store().ReadCounters). The first Query of a process builds the index
+// (one decode per record); a Query after Puts merges the new keys in.
+// This is the engine behind the experiment server's GET /v1/results.
 func (c *Cache) Query(f Filter, offset, limit int) (total int, page []CachedPoint, err error) {
-	type match struct {
-		key   string
-		point Point
-	}
-	var matched []match
-	c.store.Range(func(key string, meta []byte) bool {
-		var p Point
-		if json.Unmarshal(meta, &p) != nil {
-			return true // undecodable index meta: skip, exactly like Get's miss
-		}
-		if f.matches(&p) {
-			matched = append(matched, match{key, p})
-		}
-		return true
-	})
-	sort.Slice(matched, func(i, j int) bool { return pointLess(matched[i].point, matched[j].point) })
-	total = len(matched)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	end := total
-	if limit >= 0 && offset+limit < end {
-		end = offset + limit
-	}
-	page = make([]CachedPoint, 0, end-offset)
-	for _, m := range matched[offset:end] {
-		payload, ok, err := c.store.Get(m.key)
+	total, keys := c.selectKeys(f, offset, limit)
+	page = make([]CachedPoint, 0, len(keys))
+	for _, key := range keys {
+		payload, ok, err := c.store.Get(key)
 		if err != nil {
 			return 0, nil, fmt.Errorf("sweep: querying cache: %w", err)
 		}
 		if !ok {
-			continue // raced with a concurrent writer's supersede; skip
+			continue // gone from the store (closed under the query): skip
 		}
 		var e cacheEntry
 		if json.Unmarshal(payload, &e) != nil || e.Version != cacheKeyVersion {
@@ -203,33 +221,109 @@ func (c *Cache) Query(f Filter, offset, limit int) (total int, page []CachedPoin
 	return total, page, nil
 }
 
+// selectKeys walks the point index once: it counts the rows matching f
+// and collects the record keys of matches offset..offset+limit (a
+// negative offset reads as 0, a negative limit as no bound).
+func (c *Cache) selectKeys(f Filter, offset, limit int) (total int, keys []string) {
+	c.mu.RLock()
+	if c.indexed && len(c.tail) == 0 {
+		defer c.mu.RUnlock()
+	} else {
+		c.mu.RUnlock()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.refreshIndexLocked()
+	}
+	if limit < 0 {
+		limit = len(c.rows)
+	} else {
+		keys = make([]string, 0, min(limit, len(c.rows)))
+	}
+	for i := range c.rows {
+		r := &c.rows[i]
+		if !f.matches(&r.point) {
+			continue
+		}
+		if total >= offset && len(keys) < limit {
+			keys = append(keys, r.key)
+		}
+		total++
+	}
+	return total, keys
+}
+
+// refreshIndexLocked brings rows up to date with the store. The first
+// call decodes every record's meta and sorts; later calls sort the keys
+// Put since the last one and merge them in, in place: O(n + t log t).
+func (c *Cache) refreshIndexLocked() {
+	if !c.indexed {
+		c.indexed = true
+		c.rows = make([]indexRow, 0, c.store.Len())
+		c.store.Range(func(key string, meta []byte) bool {
+			var p Point
+			if json.Unmarshal(meta, &p) == nil { // undecodable meta: skip, like Get's miss
+				c.rows = append(c.rows, indexRow{key, p, p.Override.Fingerprint()})
+			}
+			return true
+		})
+		sortRows(c.rows)
+		return
+	}
+	tail := c.tail
+	sortRows(tail)
+	// Merge from the back: rows grows by len(tail), then the largest
+	// unsettled row of either run moves to k.
+	i := len(c.rows) - 1
+	c.rows = append(c.rows, tail...)
+	for j, k := len(tail)-1, len(c.rows)-1; j >= 0; k-- {
+		if i >= 0 && rowLess(&tail[j], &c.rows[i]) {
+			c.rows[k] = c.rows[i]
+			i--
+		} else {
+			c.rows[k] = tail[j]
+			j--
+		}
+	}
+	c.tail = tail[:0]
+}
+
+func sortRows(rows []indexRow) {
+	sort.Slice(rows, func(i, j int) bool { return rowLess(&rows[i], &rows[j]) })
+}
+
 // Entries returns every valid entry, sorted by the grid's natural
 // column order (app, cluster, protocol, nodes, threads per node,
-// override fingerprint). Stale or malformed entries are skipped,
-// exactly as Get treats them.
+// override fingerprint, record key). Stale or malformed entries are
+// skipped, exactly as Get treats them.
 func (c *Cache) Entries() ([]CachedPoint, error) {
 	_, page, err := c.Query(Filter{}, 0, -1)
 	return page, err
 }
 
-// pointLess orders points by the grid's column order.
-func pointLess(a, b Point) bool {
-	if a.App != b.App {
-		return a.App < b.App
+// rowLess orders index rows by the grid's column order. The column
+// order ignores paper_scale and repeats, so two records may tie on it;
+// the record key breaks the tie and makes the order total.
+func rowLess(a, b *indexRow) bool {
+	p, q := &a.point, &b.point
+	if p.App != q.App {
+		return p.App < q.App
 	}
-	if a.Cluster != b.Cluster {
-		return a.Cluster < b.Cluster
+	if p.Cluster != q.Cluster {
+		return p.Cluster < q.Cluster
 	}
-	if a.Protocol != b.Protocol {
-		return a.Protocol < b.Protocol
+	if p.Protocol != q.Protocol {
+		return p.Protocol < q.Protocol
 	}
-	if a.Nodes != b.Nodes {
-		return a.Nodes < b.Nodes
+	if p.Nodes != q.Nodes {
+		return p.Nodes < q.Nodes
 	}
-	if a.ThreadsPerNode != b.ThreadsPerNode {
-		return a.ThreadsPerNode < b.ThreadsPerNode
+	if p.ThreadsPerNode != q.ThreadsPerNode {
+		return p.ThreadsPerNode < q.ThreadsPerNode
 	}
-	return a.Override.Fingerprint() < b.Override.Fingerprint()
+	if a.fp != b.fp {
+		return a.fp < b.fp
+	}
+	return a.key < b.key
 }
 
 // Len reports the number of entries currently in the cache. The count

@@ -32,12 +32,14 @@ type Executor struct {
 	// or use a fresh cache directory.
 	NewApp func(name string, paperScale bool) (apps.App, error)
 	// OnPoint, when non-nil, is invoked serially as each point
-	// completes (from cache or from execution).
-	OnPoint func(done, total int, pr PointResult)
+	// completes (from cache or from execution). i is the point's index
+	// in the submitted list, done counts completions so far.
+	OnPoint func(i, done, total int, pr PointResult)
 	// OnStart, when non-nil, is invoked serially as a point's first
-	// repeat begins executing on a worker. Cache hits and points that
-	// fail before scheduling never fire it.
-	OnStart func(p Point)
+	// repeat begins executing on a worker, with the point's index in the
+	// submitted list. Cache hits and points that fail before scheduling
+	// never fire it.
+	OnStart func(i int, p Point)
 	// Cancel, when non-nil and closed, stops the executor from starting
 	// new points: running points drain to completion (and still land in
 	// the cache), unstarted points settle with an error satisfying
@@ -252,7 +254,7 @@ func (x *Executor) RunPoints(points []Point) (*Outcome, error) {
 		done++
 		x.logResolved(i, &out.Points[i])
 		if x.OnPoint != nil {
-			x.OnPoint(done, len(points), out.Points[i])
+			x.OnPoint(i, done, len(points), out.Points[i])
 		}
 	}
 	for i := range points {
@@ -290,7 +292,7 @@ func (x *Executor) RunPoints(points []Point) (*Outcome, error) {
 			if !started[i] {
 				started[i] = true
 				if x.OnStart != nil {
-					x.OnStart(points[i])
+					x.OnStart(i, points[i])
 				}
 			}
 		},

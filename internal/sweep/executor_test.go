@@ -191,9 +191,12 @@ func TestExecutorProgressReporting(t *testing.T) {
 	spec := Spec{Apps: []string{"jacobi"}, Clusters: []string{"sci"}, Protocols: []string{"java_pf"}, Nodes: []int{1, 2, 3}}
 	run := func() (calls int, dones []int, cached int) {
 		x := &Executor{Workers: 2, Cache: cache, NewApp: tinyApps,
-			OnPoint: func(done, total int, pr PointResult) {
+			OnPoint: func(i, done, total int, pr PointResult) {
 				calls++
 				dones = append(dones, done)
+				if pr.Point.Nodes != spec.Nodes[i] {
+					t.Errorf("OnPoint index %d carries the nodes=%d point", i, pr.Point.Nodes)
+				}
 				if total != 3 {
 					t.Errorf("total = %d, want 3", total)
 				}
@@ -317,7 +320,7 @@ func TestExecutorCancelDrains(t *testing.T) {
 		NewApp: func(name string, paperScale bool) (apps.App, error) {
 			return gateApp{release: release}, nil
 		},
-		OnStart: func(p Point) { started <- p },
+		OnStart: func(_ int, p Point) { started <- p },
 		Cancel:  cancel,
 	}
 	spec := Spec{Apps: []string{"gate"}, Clusters: []string{"sci"}, Protocols: []string{"java_pf"}, Nodes: []int{1, 2, 3, 4}}
@@ -396,12 +399,15 @@ func TestExecutorCachePutFailureCountsOnce(t *testing.T) {
 func TestExecutorOnStartAndElapsed(t *testing.T) {
 	var mu sync.Mutex
 	var startedPts []Point
-	x := &Executor{Workers: 2, NewApp: tinyApps, OnStart: func(p Point) {
+	spec := Spec{Apps: []string{"jacobi"}, Clusters: []string{"sci"}, Protocols: []string{"java_pf"}, Nodes: []int{1, 2}, Repeats: 2}
+	x := &Executor{Workers: 2, NewApp: tinyApps, OnStart: func(i int, p Point) {
 		mu.Lock()
 		startedPts = append(startedPts, p)
 		mu.Unlock()
+		if p.Nodes != spec.Nodes[i] {
+			t.Errorf("OnStart index %d carries the nodes=%d point", i, p.Nodes)
+		}
 	}}
-	spec := Spec{Apps: []string{"jacobi"}, Clusters: []string{"sci"}, Protocols: []string{"java_pf"}, Nodes: []int{1, 2}, Repeats: 2}
 	out, err := x.Run(spec)
 	if err != nil {
 		t.Fatal(err)
