@@ -55,3 +55,42 @@ func OwnerOf(n, p, i int) int {
 	}
 	return w
 }
+
+// SpanChunk is the element count of the fixed-size stack buffers through
+// which a converted loop moves its spans.
+const SpanChunk = 256
+
+// Spans runs iterations [lo, hi) of a loop whose body accesses shared
+// arrays, charging exactly what the element loop would while taking each
+// frame lock once per chunk instead of once per element.
+//
+// segEnd(j) > j is the end of the segment starting at j: the first
+// iteration at which some operand's element lies on another page than at
+// j. In each segment elem runs single iterations until one completes
+// with no fast-path miss. From then on every operand's page is resolved
+// and stays resolved — an all-hit iteration changes no fast-path or
+// cache-epoch state, and the network model is additive — so span(j, k)
+// runs the next k <= SpanChunk iterations at once, reading and writing
+// its operands through the arrays' range methods in the body's operand
+// order. Clocks, counters, messages and the heap come out identical to
+// the element loop; runs with several threads per node keep only their
+// existing host-scheduled variance.
+func Spans(t *threads.Thread, lo, hi int, segEnd func(j int) int, elem func(j int), span func(j, k int)) {
+	ctx := t.Ctx()
+	for j := lo; j < hi; {
+		end := min(segEnd(j), hi)
+		for j < end {
+			m := ctx.FastMisses()
+			elem(j)
+			j++
+			if ctx.FastMisses() == m {
+				break
+			}
+		}
+		for j < end {
+			k := min(end-j, SpanChunk)
+			span(j, k)
+			j += k
+		}
+	}
+}

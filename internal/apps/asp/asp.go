@@ -36,6 +36,10 @@ const Unconnected = int32(1 << 28)
 type ASP struct {
 	N    int
 	Seed int64
+
+	// relax is the row update Run uses; nil means relaxRow. Tests set
+	// the element loop that relaxRow must reproduce exactly.
+	relax func(t *threads.Thread, kb jmm.I32Array, kbase int, ib jmm.I32Array, ibase, n int, dik int32)
 }
 
 // New returns an ASP instance over an n-node graph with deterministic
@@ -72,10 +76,47 @@ func (p *ASP) graph() [][]int32 {
 	return d
 }
 
+// relaxRow is the paper's innermost loop over row i (elements ibase..
+// ibase+n-1 of ib) against pivot row k (kbase.. of kb): an integer add
+// and a compare around three object accesses per element — read
+// d[k][j], read d[i][j], store the minimum back — run as spans
+// (apps.Spans). dik is d[i][k], read before the loop.
+func relaxRow(t *threads.Thread, kb jmm.I32Array, kbase int, ib jmm.I32Array, ibase, n int, dik int32) {
+	var kbuf, ibuf [apps.SpanChunk]int32
+	apps.Spans(t, 0, n,
+		func(j int) int {
+			return min(kb.RunEnd(t, kbase+j)-kbase, ib.RunEnd(t, ibase+j)-ibase)
+		},
+		func(j int) {
+			alt := dik + kb.Get(t, kbase+j)
+			cur := ib.Get(t, ibase+j)
+			if alt > cur {
+				alt = cur
+			}
+			ib.Set(t, ibase+j, alt)
+		},
+		func(j, c int) {
+			krow, irow := kbuf[:c], ibuf[:c]
+			kb.GetRange(t, kbase+j, krow)
+			ib.GetRange(t, ibase+j, irow)
+			for x, dkj := range krow {
+				if alt := dik + dkj; alt < irow[x] {
+					irow[x] = alt
+				}
+			}
+			ib.SetRange(t, ibase+j, irow)
+		})
+}
+
 // Run implements apps.App.
 func (p *ASP) Run(rt *threads.Runtime, h *jmm.Heap, workers int) apps.Check {
 	n := p.N
 	g := p.graph()
+
+	relax := p.relax
+	if relax == nil {
+		relax = relaxRow
+	}
 
 	// One page-aligned row block per worker, homed round-robin like the
 	// worker threads.
@@ -115,19 +156,7 @@ func (p *ASP) Run(rt *threads.Runtime, h *jmm.Heap, workers int) apps.Check {
 					kb, kbase := cell(k)
 					for i := lo; i < hi; i++ {
 						ib, ibase := cell(i)
-						dik := ib.Get(t, ibase+k)
-						for j := 0; j < n; j++ {
-							// The paper's innermost loop: an integer
-							// add and a compare around three
-							// object accesses (read d[k][j], read
-							// d[i][j], store the minimum back).
-							alt := dik + kb.Get(t, kbase+j)
-							cur := ib.Get(t, ibase+j)
-							if alt > cur {
-								alt = cur
-							}
-							ib.Set(t, ibase+j, alt)
-						}
+						relax(t, kb, kbase, ib, ibase, n, ib.Get(t, ibase+k))
 						t.Compute(IterCycles*float64(n), n/iterMemEvery)
 					}
 					bar.Await(t)

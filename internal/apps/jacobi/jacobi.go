@@ -36,6 +36,10 @@ const (
 type Jacobi struct {
 	N     int // mesh dimension
 	Steps int // time steps
+
+	// relax is the row update Run uses; nil means relaxRow. Tests set
+	// the element loop that relaxRow must reproduce exactly.
+	relax func(t *threads.Thread, src, dst *mesh, i int)
 }
 
 // New returns a Jacobi instance for an n x n mesh over the given steps.
@@ -86,9 +90,51 @@ func (m *mesh) set(t *threads.Thread, i, j int, v float64) {
 	b.Set(t, idx, v)
 }
 
+// relaxRow computes row i of dst from src: four reads and one write per
+// interior cell, run as spans (apps.Spans). Row i-1 is remote for the
+// first row of a block, row i+1 for the last.
+func relaxRow(t *threads.Thread, src, dst *mesh, i int) {
+	n := src.n
+	ub, ubase := src.addr(i-1, 0)
+	db, dbase := src.addr(i+1, 0)
+	sb, sbase := src.addr(i, 0)
+	wb, wbase := dst.addr(i, 0)
+	var ubuf, dbuf, lbuf, rbuf, obuf [apps.SpanChunk]float64
+	apps.Spans(t, 1, n-1,
+		func(col int) int {
+			return min(ub.RunEnd(t, ubase+col)-ubase,
+				db.RunEnd(t, dbase+col)-dbase,
+				sb.RunEnd(t, sbase+col-1)-sbase+1,
+				sb.RunEnd(t, sbase+col+1)-sbase-1,
+				wb.RunEnd(t, wbase+col)-wbase)
+		},
+		func(col int) {
+			up := ub.Get(t, ubase+col)
+			down := db.Get(t, dbase+col)
+			left := sb.Get(t, sbase+col-1)
+			right := sb.Get(t, sbase+col+1)
+			wb.Set(t, wbase+col, 0.25*(up+down+left+right))
+		},
+		func(col, c int) {
+			up, down, left, right, out := ubuf[:c], dbuf[:c], lbuf[:c], rbuf[:c], obuf[:c]
+			ub.GetRange(t, ubase+col, up)
+			db.GetRange(t, dbase+col, down)
+			sb.GetRange(t, sbase+col-1, left)
+			sb.GetRange(t, sbase+col+1, right)
+			for x := range out {
+				out[x] = 0.25 * (up[x] + down[x] + left[x] + right[x])
+			}
+			wb.SetRange(t, wbase+col, out)
+		})
+}
+
 // Run implements apps.App.
 func (j *Jacobi) Run(rt *threads.Runtime, h *jmm.Heap, workers int) apps.Check {
 	n := j.N
+	relax := j.relax
+	if relax == nil {
+		relax = relaxRow
+	}
 	var sample [3]float64
 	rt.Main(func(main *threads.Thread) {
 		a := newMesh(main, h, n, workers)
@@ -121,13 +167,7 @@ func (j *Jacobi) Run(rt *threads.Runtime, h *jmm.Heap, workers int) apps.Check {
 						if i == 0 || i == n-1 {
 							continue // insulated/fixed boundary rows
 						}
-						for col := 1; col < n-1; col++ {
-							up := src.get(t, i-1, col) // remote for i == lo
-							down := src.get(t, i+1, col)
-							left := src.get(t, i, col-1)
-							right := src.get(t, i, col+1)
-							dst.set(t, i, col, 0.25*(up+down+left+right))
-						}
+						relax(t, src, dst, i)
 						t.Compute(CellCycles*float64(n-2), CellMemTouch*(n-2))
 					}
 					bar.Await(t)

@@ -85,6 +85,13 @@ func (c *Ctx) Engine() *Engine { return c.eng }
 // Accesses reports the number of get/put operations performed so far.
 func (c *Ctx) Accesses() int64 { return c.accesses }
 
+// FastMisses reports a wrapping count of the accesses that missed the
+// fast path and took the protocol's slow path. Two readings that are
+// equal around fewer than 256 accesses prove that none of them missed —
+// so they changed no fast-path state and ran no protocol action; see
+// the span primitives.
+func (c *Ctx) FastMisses() uint8 { return c.fastNext }
+
 // Close flushes the context's local statistics into the cluster-wide
 // counters. Call when the simulated thread terminates.
 func (c *Ctx) Close() {
@@ -255,6 +262,104 @@ func (c *Ctx) PutBytes(a pages.Addr, src []byte) {
 		}
 		src = src[n:]
 		a += pages.Addr(n)
+	}
+}
+
+// --- span primitives -----------------------------------------------------
+//
+// The span primitives move consecutive elements of one array between the
+// heap and a Go slice, charging exactly what the element loop over them
+// would: per page-run, the first element resolves its frame through
+// frameFor (the protocol's detection, fetch and fast-path bookkeeping),
+// and the other k-1 elements are the fast-path hits the loop would take
+// next — k-1 FastCost charges in one Advance, since virtual time is
+// integer picoseconds. The elements move under one acquisition of the
+// frame's lock. A put to a remotely homed page logs one modification
+// record per element, as k single puts would, so flushed diffs are
+// byte-identical. This is exact as long as no other thread of the node
+// changes the cache epoch between the elements, which is the existing
+// host-scheduled variance of runs with more than one thread per node.
+// Unlike GetBytes and PutBytes (one access per page touched), a span of
+// k elements counts k accesses.
+
+// spanRun resolves the page-run of at most n elements of size bytes
+// starting at a. It returns the run's frame, in-page offset and length,
+// having charged the run's k accesses.
+func (c *Ctx) spanRun(a pages.Addr, size, n int) (*pages.Frame, int, int) {
+	if a == 0 {
+		panic("core: nil reference access")
+	}
+	off := c.eng.space.Offset(a)
+	k := (c.eng.space.PageSize() - off) / size
+	if k == 0 {
+		panic(fmt.Sprintf("core: access at %#x size %d straddles a page boundary", uint64(a), size))
+	}
+	if k > n {
+		k = n
+	}
+	f := c.frameFor(c.eng.space.PageOf(a))
+	if k > 1 {
+		c.clock.Advance(vtime.Duration(k-1) * c.eng.proto.FastCost())
+		c.accesses += int64(k - 1)
+	}
+	return f, off, k
+}
+
+// GetF64s reads len(dst) consecutive float64s starting at a, as
+// len(dst) GetF64 calls would.
+func (c *Ctx) GetF64s(a pages.Addr, dst []float64) {
+	for len(dst) > 0 {
+		f, off, k := c.spanRun(a, 8, len(dst))
+		f.ReadF64s(off, dst[:k])
+		dst = dst[k:]
+		a += pages.Addr(8 * k)
+	}
+}
+
+// PutF64s writes src to consecutive float64s starting at a, as len(src)
+// PutF64 calls would.
+func (c *Ctx) PutF64s(a pages.Addr, src []float64) {
+	for len(src) > 0 {
+		f, off, k := c.spanRun(a, 8, len(src))
+		f.WriteF64s(off, src[:k])
+		if !c.lastHome {
+			p, log := c.eng.space.PageOf(a), c.eng.nodes[c.node].log
+			for i, v := range src[:k] {
+				binary.LittleEndian.PutUint64(c.scratch[:8], math.Float64bits(v))
+				log.Record(p, off+8*i, c.scratch[:8])
+			}
+		}
+		src = src[k:]
+		a += pages.Addr(8 * k)
+	}
+}
+
+// GetI32s reads len(dst) consecutive int32s starting at a, as len(dst)
+// GetI32 calls would.
+func (c *Ctx) GetI32s(a pages.Addr, dst []int32) {
+	for len(dst) > 0 {
+		f, off, k := c.spanRun(a, 4, len(dst))
+		f.ReadI32s(off, dst[:k])
+		dst = dst[k:]
+		a += pages.Addr(4 * k)
+	}
+}
+
+// PutI32s writes src to consecutive int32s starting at a, as len(src)
+// PutI32 calls would.
+func (c *Ctx) PutI32s(a pages.Addr, src []int32) {
+	for len(src) > 0 {
+		f, off, k := c.spanRun(a, 4, len(src))
+		f.WriteI32s(off, src[:k])
+		if !c.lastHome {
+			p, log := c.eng.space.PageOf(a), c.eng.nodes[c.node].log
+			for i, v := range src[:k] {
+				binary.LittleEndian.PutUint32(c.scratch[:4], uint32(v))
+				log.Record(p, off+4*i, c.scratch[:4])
+			}
+		}
+		src = src[k:]
+		a += pages.Addr(4 * k)
 	}
 }
 

@@ -50,6 +50,35 @@ type nodeMem struct {
 	// fifo orders cached pages by arrival for capacity eviction.
 	fifoMu sync.Mutex
 	fifo   []pages.PageID // guarded by fifoMu
+
+	// spares are page images RefreshCache swapped out of this node's
+	// frames; the next page shipped to this node is copied into one
+	// instead of a fresh allocation.
+	spareMu sync.Mutex
+	spares  [][]byte // guarded by spareMu
+}
+
+// putSpare adds a page image that nothing references any more to the
+// node's spare list.
+func (nm *nodeMem) putSpare(img []byte) {
+	nm.spareMu.Lock()
+	nm.spares = append(nm.spares, img)
+	nm.spareMu.Unlock()
+}
+
+// takeSpare removes and returns a spare page image, or nil if there is
+// none.
+func (nm *nodeMem) takeSpare() []byte {
+	nm.spareMu.Lock()
+	defer nm.spareMu.Unlock()
+	n := len(nm.spares)
+	if n == 0 {
+		return nil
+	}
+	img := nm.spares[n-1]
+	nm.spares[n-1] = nil
+	nm.spares = nm.spares[:n-1]
+	return img
 }
 
 // Engine is the memory subsystem of one simulated Hyperion run.
@@ -224,12 +253,14 @@ func (e *Engine) LoadIntoCache(ctx *Ctx, p pages.PageID, access pages.Access) *p
 // page's frame must keep its identity (RefreshCache), of a new installed
 // frame when f is nil. The request is built in a buffer ctx owns.
 //
-// Every miss therefore still allocates one page image. Recycling the
-// images of dropped frames is tempting and wrong for now: with more than
-// one thread per node, a thread may still be reading a *pages.Frame that
-// another thread's monitor entry has just dropped, and only the garbage
-// collector keeps that read on the right (if stale) page. A pool needs
-// ROADMAP item 1's scheduler first.
+// Images are recycled only where ownership is certain. A refresh swaps
+// the frame's old image out under the frame's write lock, after which
+// nothing can reference it, so it goes on the node's spare list for the
+// next reply. The images of dropped frames are not recycled: with more
+// than one thread per node, a thread may still be reading a
+// *pages.Frame that another thread's monitor entry has just dropped,
+// and only the garbage collector keeps that read on the right (if
+// stale) page. Pooling those needs ROADMAP item 7's scheduler first.
 func (e *Engine) fetch(ctx *Ctx, nm *nodeMem, p pages.PageID, f *pages.Frame, access pages.Access) *pages.Frame {
 	binary.LittleEndian.PutUint64(ctx.req[:], uint64(p))
 	img := e.cl.Invoke(ctx.clock, ctx.node, e.space.Home(p), svcFetchPage, ctx.req[:])
@@ -237,7 +268,7 @@ func (e *Engine) fetch(ctx *Ctx, nm *nodeMem, p pages.PageID, f *pages.Frame, ac
 		f = pages.NewFrameFromImage(p, img, access)
 		nm.cache.Install(f)
 	} else {
-		f.Adopt(img, access)
+		nm.putSpare(f.Adopt(img, access))
 	}
 	atomic.AddInt64(&e.cnt.Node(ctx.node).Fetches, 1)
 	if e.tracer != nil {
@@ -409,14 +440,15 @@ func (e *Engine) Release(ctx *Ctx) {
 // --- RPC handlers (run at the page's home node) --------------------------
 
 // handleFetchPage replies with a copy of the home image taken under the
-// home frame's read lock. Ownership rule of the fetch path: the reply is
-// never aliased to the home frame and never retained here, because the
+// home frame's read lock, into one of the requester's spare images when
+// it has one. Ownership rule of the fetch path: the reply is never
+// aliased to the home frame and never retained here, because the
 // requester adopts it as its cached frame's backing store — writes at
 // home must not show in that copy, nor its writes at home.
 func (e *Engine) handleFetchPage(call *cluster.Call) []byte {
 	p := pages.PageID(binary.LittleEndian.Uint64(call.Arg))
 	call.Clock.Advance(e.serviceCost)
-	return e.homeFrame(p).Snapshot()
+	return e.homeFrame(p).SnapshotInto(e.nodes[call.From].takeSpare())
 }
 
 func (e *Engine) handleApplyDiff(call *cluster.Call) []byte {

@@ -175,6 +175,36 @@ func TestRefreshCacheKeepsFrameIdentity(t *testing.T) {
 	}
 }
 
+// A refresh recycles the image it swaps out: the page it replaces goes
+// on the node's spare list and the next reply is copied into it, so a
+// steady-state java_up acquire allocates no page images at all.
+func TestRefreshRecyclesReplacedImages(t *testing.T) {
+	e := newTestEngine(t, 2, "java_up")
+	owner, reader := e.NewCtx(1, 0), e.NewCtx(0, 0)
+	const cached = 4
+	ps := e.Space().PageSize()
+	a, err := e.AllocPageAligned(owner, 1, cached*ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cached; i++ {
+		reader.GetF64(a + pages.Addr(i*ps))
+	}
+	refresh := func() {
+		if n := e.RefreshCache(reader); n != cached {
+			t.Fatalf("refreshed %d pages, want %d", n, cached)
+		}
+	}
+	if b := allocBytesPerRun(50, refresh); b >= float64(ps) {
+		t.Errorf("refresh of %d pages = %.0f bytes, want < %d (no page image)", cached, b, ps)
+	}
+	owner.PutF64(a, 9)
+	refresh()
+	if got := reader.GetF64(a); got != 9 {
+		t.Errorf("refreshed through a recycled image, read %v, want 9", got)
+	}
+}
+
 // randomSpans draws a write-ordered span set that exercises every case
 // of the encoder: several pages on several homes, exact adjacency
 // (coalescing), partial and total overlaps (later write wins), and

@@ -86,9 +86,36 @@ func (a F64Array) Set(t *threads.Thread, i int, v float64) {
 	t.Ctx().PutF64(a.base+pages.Addr(i*8), v)
 }
 
+// GetRange reads elements [i, i+len(dst)) into dst through the DSM's
+// span get primitive, charging what len(dst) Get calls would.
+func (a F64Array) GetRange(t *threads.Thread, i int, dst []float64) {
+	a.rangeBounds(i, len(dst))
+	t.Ctx().GetF64s(a.base+pages.Addr(i*8), dst)
+}
+
+// SetRange writes src to elements [i, i+len(src)) through the DSM's span
+// put primitive, charging what len(src) Set calls would.
+func (a F64Array) SetRange(t *threads.Thread, i int, src []float64) {
+	a.rangeBounds(i, len(src))
+	t.Ctx().PutF64s(a.base+pages.Addr(i*8), src)
+}
+
+// RunEnd returns the end of the page-run holding element i: the first
+// index after i whose element lies on another page, or Len().
+func (a F64Array) RunEnd(t *threads.Thread, i int) int {
+	a.bounds(i)
+	return runEnd(t, a.base, i, 8, a.n)
+}
+
 func (a F64Array) bounds(i int) {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("jmm: index %d out of range [0,%d)", i, a.n))
+	}
+}
+
+func (a F64Array) rangeBounds(i, n int) {
+	if i < 0 || n < 0 || i+n > a.n {
+		panic(fmt.Sprintf("jmm: range [%d,%d) out of range [0,%d)", i, i+n, a.n))
 	}
 }
 
@@ -127,10 +154,47 @@ func (a I32Array) Set(t *threads.Thread, i int, v int32) {
 	t.Ctx().PutI32(a.base+pages.Addr(i*4), v)
 }
 
+// GetRange reads elements [i, i+len(dst)) into dst through the DSM's
+// span get primitive, charging what len(dst) Get calls would.
+func (a I32Array) GetRange(t *threads.Thread, i int, dst []int32) {
+	a.rangeBounds(i, len(dst))
+	t.Ctx().GetI32s(a.base+pages.Addr(i*4), dst)
+}
+
+// SetRange writes src to elements [i, i+len(src)) through the DSM's span
+// put primitive, charging what len(src) Set calls would.
+func (a I32Array) SetRange(t *threads.Thread, i int, src []int32) {
+	a.rangeBounds(i, len(src))
+	t.Ctx().PutI32s(a.base+pages.Addr(i*4), src)
+}
+
+// RunEnd returns the end of the page-run holding element i: the first
+// index after i whose element lies on another page, or Len().
+func (a I32Array) RunEnd(t *threads.Thread, i int) int {
+	a.bounds(i)
+	return runEnd(t, a.base, i, 4, a.n)
+}
+
 func (a I32Array) bounds(i int) {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("jmm: index %d out of range [0,%d)", i, a.n))
 	}
+}
+
+func (a I32Array) rangeBounds(i, n int) {
+	if i < 0 || n < 0 || i+n > a.n {
+		panic(fmt.Sprintf("jmm: range [%d,%d) out of range [0,%d)", i, i+n, a.n))
+	}
+}
+
+// runEnd is RunEnd for an array of n elements of size bytes at base.
+func runEnd(t *threads.Thread, base pages.Addr, i, size, n int) int {
+	sp := t.Ctx().Engine().Space()
+	end := i + (sp.PageSize()-sp.Offset(base+pages.Addr(i*size)))/size
+	if end > n {
+		end = n
+	}
+	return end
 }
 
 // I64Array is a shared array of Java longs.

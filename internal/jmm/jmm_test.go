@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/pages"
 	"repro/internal/stats"
 	"repro/internal/threads"
 	"repro/internal/vtime"
@@ -54,6 +55,68 @@ func TestArraysRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The range methods read and write what Get and Set do, reject ranges
+// outside the array, and RunEnd marks where an element's page ends.
+func TestArrayRanges(t *testing.T) {
+	rt, h := newWorld(t, 2, "java_ic")
+	rt.Main(func(main *threads.Thread) {
+		f := h.NewF64ArrayAligned(main, 1, 1000) // 8000 bytes: two pages
+		i32 := h.NewI32Array(main, 0, 1500)
+		fs, is := make([]float64, 700), make([]int32, 1200)
+		for k := range fs {
+			fs[k] = float64(k) / 3
+		}
+		for k := range is {
+			is[k] = int32(k) - 600
+		}
+		f.SetRange(main, 300, fs)
+		i32.SetRange(main, 200, is)
+		for k := range fs {
+			if got := f.Get(main, 300+k); got != fs[k] {
+				t.Fatalf("f[%d] = %v, want %v", 300+k, got, fs[k])
+			}
+		}
+		got := make([]int32, 1200)
+		i32.GetRange(main, 200, got)
+		for k := range got {
+			if got[k] != is[k] || i32.Get(main, 200+k) != is[k] {
+				t.Fatalf("i32[%d] = %v, want %v", 200+k, got[k], is[k])
+			}
+		}
+
+		if e := f.RunEnd(main, 0); e != 512 {
+			t.Errorf("aligned f64 run from 0 ends at %d, want 512", e)
+		}
+		if e := f.RunEnd(main, 600); e != 1000 {
+			t.Errorf("f64 run from 600 ends at %d, want Len()", e)
+		}
+		for _, k := range []int{0, 1, 700, 1499} {
+			e := i32.RunEnd(main, k)
+			pg := h.Engine().Space().PageOf
+			if e <= k || (e < i32.Len() && pg(i32.Addr()+pages.Addr(4*e)) == pg(i32.Addr()+pages.Addr(4*k))) ||
+				pg(i32.Addr()+pages.Addr(4*(e-1))) != pg(i32.Addr()+pages.Addr(4*k)) {
+				t.Errorf("i32 run from %d ends at %d", k, e)
+			}
+		}
+
+		for _, fn := range []func(){
+			func() { f.GetRange(main, 990, make([]float64, 11)) },
+			func() { f.SetRange(main, -1, make([]float64, 1)) },
+			func() { i32.GetRange(main, 1500, make([]int32, 1)) },
+			func() { i32.RunEnd(main, 1500) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("expected panic")
+					}
+				}()
+				fn()
+			}()
+		}
+	})
 }
 
 func TestArrayBounds(t *testing.T) {

@@ -1,12 +1,14 @@
 // Package netsim models the cluster interconnects used in the paper's
 // evaluation: BIP over Myrinet and SISCI over SCI (plus a commodity TCP
-// model for contrast). The model is LogGP-flavored: a message occupies the
-// sender's transmit engine for a host overhead plus a per-byte gap, crosses
-// the wire with a fixed latency, and occupies the receiver's engine for a
-// receive overhead. Per-node transmit and receive engines are serialized
-// vtime.Resources, so concurrent traffic to or from one node queues up —
-// this is what makes communication costs grow with cluster size for
-// irregular applications such as Barnes-Hut.
+// model for contrast). The model is LogGP-flavored: a message costs the
+// sender a host overhead plus a per-byte gap, crosses the wire with a
+// fixed latency, and costs the receiver a receive overhead. The model is
+// additive: a message's timing depends only on its size and send time,
+// never on other traffic — nothing queues at a NIC (see Network) — so
+// communication costs grow with cluster size for irregular applications
+// such as Barnes-Hut through message counts alone. Code that reorders
+// work between messages relies on this: the same messages sent at the
+// same virtual times cost the same, whatever the host order.
 package netsim
 
 import (

@@ -1,7 +1,9 @@
 package pages
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -65,14 +67,72 @@ func (f *Frame) Write(off int, src []byte) {
 	copy(f.data[off:], src)
 }
 
+// The typed range methods move len(dst) or len(src) consecutive
+// little-endian elements starting at byte off under one acquisition of
+// the frame's lock, decoding in place: no staging buffer.
+
+// ReadF64s decodes len(dst) float64s starting at off into dst.
+func (f *Frame) ReadF64s(off int, dst []float64) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	f.check(off, 8*len(dst))
+	b := f.data[off : off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// WriteF64s encodes src into the frame starting at off.
+func (f *Frame) WriteF64s(off int, src []float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.check(off, 8*len(src))
+	b := f.data[off : off+8*len(src)]
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+}
+
+// ReadI32s decodes len(dst) int32s starting at off into dst.
+func (f *Frame) ReadI32s(off int, dst []int32) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	f.check(off, 4*len(dst))
+	b := f.data[off : off+4*len(dst)]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+// WriteI32s encodes src into the frame starting at off.
+func (f *Frame) WriteI32s(off int, src []int32) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.check(off, 4*len(src))
+	b := f.data[off : off+4*len(src)]
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+	}
+}
+
 // Snapshot returns a copy of the whole page content, used when shipping a
 // page to a requesting node.
 func (f *Frame) Snapshot() []byte {
+	return f.SnapshotInto(nil)
+}
+
+// SnapshotInto copies the whole page content into img and returns it; a
+// nil img is allocated. A non-nil img must be exactly one page long.
+func (f *Frame) SnapshotInto(img []byte) []byte {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
-	return out
+	if img == nil {
+		img = make([]byte, len(f.data))
+	} else if len(img) != len(f.data) {
+		panic(fmt.Sprintf("pages: snapshot of %d-byte frame into %d bytes", len(f.data), len(img)))
+	}
+	copy(img, f.data)
+	return img
 }
 
 // Load overwrites the whole frame content with a page image received from
@@ -89,16 +149,19 @@ func (f *Frame) Load(img []byte) {
 // Adopt replaces the whole frame content with img and sets the access
 // rights, keeping the frame's identity. Unlike Load it does not copy:
 // img becomes the backing store, so the caller must hold the only
-// reference to it and must not touch it afterwards. The previous
-// backing store is left to the garbage collector — a reader that copied
-// out of it before the swap saw a consistent, if stale, page.
-func (f *Frame) Adopt(img []byte, access Access) {
+// reference to it and must not touch it afterwards. Adopt returns the
+// previous backing store, which passes to the caller: every content
+// operation copies under the frame's lock, so once the swap is made
+// under the write lock nothing else references it.
+func (f *Frame) Adopt(img []byte, access Access) (prev []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(img) != len(f.data) {
 		panic(fmt.Sprintf("pages: adopting %d bytes into %d-byte frame", len(img), len(f.data)))
 	}
+	prev = f.data
 	f.data, f.access = img, access
+	return prev
 }
 
 func (f *Frame) check(off, n int) {

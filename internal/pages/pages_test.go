@@ -1,6 +1,9 @@
 package pages
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -256,6 +259,70 @@ func TestFrameAdoptsImageWithoutCopy(t *testing.T) {
 	if img[0] != 42 || img[1] != 43 {
 		t.Fatal("Adopt wrote through to the previous store")
 	}
+}
+
+// The typed range methods are the byte methods plus little-endian
+// coding: what WriteF64s/WriteI32s store reads back through Read, and
+// what Write stores decodes through ReadF64s/ReadI32s.
+func TestFrameTypedRanges(t *testing.T) {
+	f := NewFrame(0, 64, ReadWrite)
+	f.WriteF64s(8, []float64{1.5, -2})
+	f.WriteI32s(28, []int32{-1, 7})
+	got := make([]byte, 64)
+	f.Read(0, got)
+	want := make([]byte, 64)
+	binary.LittleEndian.PutUint64(want[8:], math.Float64bits(1.5))
+	binary.LittleEndian.PutUint64(want[16:], math.Float64bits(-2))
+	binary.LittleEndian.PutUint32(want[28:], 0xffffffff)
+	binary.LittleEndian.PutUint32(want[32:], 7)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame holds %x, want %x", got, want)
+	}
+	f64s, i32s := make([]float64, 2), make([]int32, 3)
+	f.ReadF64s(8, f64s)
+	f.ReadI32s(28, i32s)
+	if f64s[0] != 1.5 || f64s[1] != -2 || i32s[0] != -1 || i32s[1] != 7 || i32s[2] != 0 {
+		t.Fatalf("read back %v %v", f64s, i32s)
+	}
+	for _, fn := range []func(){
+		func() { f.ReadF64s(57, make([]float64, 1)) },
+		func() { f.WriteF64s(-8, make([]float64, 1)) },
+		func() { f.ReadI32s(60, make([]int32, 2)) },
+		func() { f.WriteI32s(0, make([]int32, 17)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// SnapshotInto fills the image it is given, and Adopt hands back the
+// store it swapped out, for the caller to reuse.
+func TestSnapshotIntoAndAdoptReturnStores(t *testing.T) {
+	f := NewFrame(0, 8, ReadWrite)
+	f.Write(0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	img := make([]byte, 8)
+	if got := f.SnapshotInto(img); &got[0] != &img[0] || got[7] != 8 {
+		t.Fatalf("SnapshotInto returned %v, not the given image", got)
+	}
+	g := NewFrameFromImage(1, img, ReadWrite)
+	next := make([]byte, 8)
+	if prev := g.Adopt(next, ReadWrite); &prev[0] != &img[0] {
+		t.Fatal("Adopt did not return the previous store")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SnapshotInto a short image did not panic")
+			}
+		}()
+		f.SnapshotInto(make([]byte, 4))
+	}()
 }
 
 func TestFrameBoundsPanics(t *testing.T) {

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -211,28 +213,115 @@ const maxGridPoints = 1 << 16
 const cacheKeyVersion = "hyperion-sweep-v3"
 
 // Key returns the point's content-addressed cache key: a hex SHA-256
-// over the canonicalized point. The override label is excluded — two
-// points differing only in label are the same experiment.
+// over the canonicalized point — cacheKeyVersion, a newline, and the
+// point's JSON encoding. The override label is excluded — two points
+// differing only in label are the same experiment. The hash input is
+// built in a stack buffer (appendKeyJSON); points it cannot encode
+// byte-identically to encoding/json take the json.Marshal path.
 func (p Point) Key() string {
-	q := p
-	q.Override.Label = ""
-	blob, err := json.Marshal(q)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshaling point: %v", err)) // no unmarshalable fields
+	var buf [512]byte
+	in, ok := p.appendKeyJSON(append(append(buf[:0], cacheKeyVersion...), '\n'))
+	if !ok {
+		q := p
+		q.Override.Label = ""
+		blob, err := json.Marshal(q)
+		if err != nil {
+			panic(fmt.Sprintf("sweep: marshaling point: %v", err)) // no unmarshalable fields
+		}
+		in = append([]byte(cacheKeyVersion+"\n"), blob...)
 	}
-	sum := sha256.Sum256(append([]byte(cacheKeyVersion+"\n"), blob...))
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(in)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
+// appendKeyJSON appends what json.Marshal produces for p with its
+// override label cleared. It reports false, leaving the fallback to the
+// caller, for a string needing JSON escapes or a non-finite float.
+func (p Point) appendKeyJSON(b []byte) ([]byte, bool) {
+	ok := true
+	str := func(b []byte, s string) []byte {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				ok = false
+			}
+		}
+		return append(append(append(b, '"'), s...), '"')
+	}
+	b = str(append(b, `{"app":`...), p.App)
+	b = str(append(b, `,"cluster":`...), p.Cluster)
+	b = str(append(b, `,"protocol":`...), p.Protocol)
+	b = strconv.AppendInt(append(b, `,"nodes":`...), int64(p.Nodes), 10)
+	b = strconv.AppendInt(append(b, `,"threads_per_node":`...), int64(p.ThreadsPerNode), 10)
+	b = strconv.AppendBool(append(b, `,"paper_scale":`...), p.PaperScale)
+	b = strconv.AppendInt(append(b, `,"repeats":`...), int64(p.Repeats), 10)
+	b = append(b, `,"override":{`...)
+	o := p.Override
+	fields := [...]struct {
+		name string
+		f    *float64
+		i    *int
+	}{
+		{"cache_lookup_cycles", o.CacheLookupCycles, nil},
+		{"service_cycles", o.ServiceCycles, nil},
+		{"diff_per_byte_cycles", o.DiffPerByteCycles, nil},
+		{"invalidate_entry_cycles", o.InvalidateEntryCycles, nil},
+		{"cache_capacity_pages", nil, o.CacheCapacityPages},
+		{"batch_setup_cycles", o.BatchSetupCycles, nil},
+		{"batch_per_byte_cycles", o.BatchPerByteCycles, nil},
+		{"check_cycles", o.CheckCycles, nil},
+		{"page_fault_us", o.PageFaultUS, nil},
+		{"mprotect_us", o.MprotectUS, nil},
+		{"page_size", nil, o.PageSize},
+	}
+	sep := false
+	for _, fd := range fields {
+		if fd.f == nil && fd.i == nil {
+			continue
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		b = append(append(append(b, '"'), fd.name...), `":`...)
+		if fd.i != nil {
+			b = strconv.AppendInt(b, int64(*fd.i), 10)
+			continue
+		}
+		// encoding/json's float64 format: shortest 'f', or 'e' with a
+		// two-digit negative exponent trimmed (1e-07 -> 1e-7) outside
+		// [1e-6, 1e21).
+		v := *fd.f
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return b, false
+		}
+		format := byte('f')
+		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, v, format, -1, 64)
+		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, "}}"...), ok
 }
 
 func (p Point) String() string {
-	s := fmt.Sprintf("%s/%s/%s n=%d", p.App, p.Cluster, p.Protocol, p.Nodes)
+	var buf [96]byte
+	b := append(buf[:0], p.App...)
+	b = append(append(b, '/'), p.Cluster...)
+	b = append(append(b, '/'), p.Protocol...)
+	b = strconv.AppendInt(append(b, " n="...), int64(p.Nodes), 10)
 	if p.ThreadsPerNode > 1 {
-		s += fmt.Sprintf(" tpn=%d", p.ThreadsPerNode)
+		b = strconv.AppendInt(append(b, " tpn="...), int64(p.ThreadsPerNode), 10)
 	}
 	if p.Override.Label != "" {
-		s += " [" + p.Override.Label + "]"
+		b = append(append(append(b, " ["...), p.Override.Label...), ']')
 	}
-	return s
+	return string(b)
 }
 
 // Platform resolves the point's cluster preset and engine costs with its
